@@ -2,7 +2,7 @@
 
 The per-table benchmarks time the paper's single-threaded probe kernels on
 the driver; this file times the full DataFrame -> DataFrame operator
-(mapInPandas over a broadcast index), the deliverable of this
+(mapInArrow over a broadcast index), the deliverable of this
 reproduction.
 """
 import os

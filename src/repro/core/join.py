@@ -7,8 +7,15 @@ mode, §3.3). Polygons are small and static (the paper's setting), so the
 index is built on the driver — optionally with the per-polygon covering
 phase distributed over Spark, mirroring the paper's parallelized covering
 computation — broadcast to the executors, and probed per partition in a
-``mapInPandas`` kernel (a DataFrame -> DataFrame physical operator; see
+``mapInArrow`` kernel (a DataFrame -> DataFrame physical operator; see
 DESIGN.md §5 for why a JVM operator is out of scope).
+
+The kernel sees only the columns it reads: the input is projected to
+``pid, x, y`` (cast to long/double) before it crosses into Python, ``x``
+and ``y`` are read as numpy views of the Arrow columns, and the output
+batch is built from numpy arrays, with no pandas DataFrame on either side.
+Points that are null, not finite or outside the index extent are rejected
+by ``probe_batch`` and never paired.
 """
 from __future__ import annotations
 
@@ -17,7 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 from repro.core import cellid
 from repro.core.act import build_act
@@ -247,18 +257,32 @@ def probe_batch(
     """One probe+refine batch: (point_row, poly_id, true_hit, stats).
 
     This is the per-partition kernel, also usable on the driver (the
-    paper's single-threaded probe loop).
+    paper's single-threaded probe loop). ``point_row`` indexes ``px``/``py``.
+
+    Points that are not finite or lie outside ``[0, extent)`` on either
+    axis are rejected before the probe and counted in
+    ``stats["rejected_points"]``. The cell grid does not cover them, and
+    clipping them into edge cells would pair them with polygons arbitrarily
+    far away, breaking the approximate join's precision bound (§3.2).
     """
+    px = np.asarray(px, np.float64)
+    py = np.asarray(py, np.float64)
+    n = len(px)
+    inside = (px >= 0) & (px < bundle.extent) & (py >= 0) & (py < bundle.extent)
+    kept = None if inside.all() else np.flatnonzero(inside)
+    if kept is not None:
+        px, py = px[kept], py[kept]
     pt = cellid.cell_from_point(px, py, bundle.extent)
     rows, polys, is_true = bundle.index.probe_refs(pt)
     stats = {
-        "points": int(len(px)),
+        "points": n,
+        "rejected_points": n - len(px),
         "true_pairs": int(is_true.sum()),
         "cand_pairs": int((~is_true).sum()),
         "pip_tests": 0,
     }
     # Solely-true-hit points skip refinement entirely (Table 7's STH):
-    # points whose probe returned no candidate reference.
+    # probed points whose probe returned no candidate reference.
     has_cand = np.zeros(len(px), dtype=bool)
     has_cand[rows[~is_true]] = True
     stats["sth_points"] = int((~has_cand).sum())
@@ -266,7 +290,46 @@ def probe_batch(
         keep, n_pip = refine_candidates(px, py, rows, polys, is_true, bundle.pset)
         stats["pip_tests"] = n_pip
         rows, polys, is_true = rows[keep], polys[keep], is_true[keep]
+    if kept is not None:
+        rows = kept[rows]
     return rows, polys, is_true, stats
+
+
+#: Output of ``spatial_join``: one row per (point, polygon) pair.
+_JOIN_SCHEMA = "pid long, poly_id long, true_hit boolean"
+_JOIN_ARROW_SCHEMA = pa.schema(
+    [("pid", pa.int64()), ("poly_id", pa.int64()), ("true_hit", pa.bool_())]
+)
+
+#: ``probe_batch`` counters that ``spatial_join_stats`` sums, and the
+#: pairs the join emits.
+_STATS = ("points", "rejected_points", "true_pairs", "cand_pairs", "pip_tests", "sth_points")
+_STATS_COLUMNS = _STATS + ("result_pairs",)
+_STATS_ARROW_SCHEMA = pa.schema([(k, pa.int64()) for k in _STATS_COLUMNS])
+
+#: Input columns a kernel may read, with the Spark type it reads them as.
+_INPUT_TYPES = {"pid": "long", "x": "double", "y": "double"}
+
+
+def _project(points_df: DataFrame, columns: tuple[str, ...]) -> DataFrame:
+    """Only the columns a kernel reads, cast to the types it reads them as,
+    so no other column crosses into Python."""
+    return points_df.select(*(F.col(c).cast(_INPUT_TYPES[c]).alias(c) for c in columns))
+
+
+def _float64(column: pa.Array) -> np.ndarray:
+    """A double Arrow column as numpy: a zero-copy view when it has no
+    nulls; nulls read as NaN, which ``probe_batch`` rejects."""
+    if column.null_count:
+        column = pc.fill_null(column, np.nan)
+    return column.to_numpy()
+
+
+def _probe_arrow(bundle: PolygonIndexBundle, batch: pa.RecordBatch, exact: bool):
+    """``probe_batch`` over the ``x``, ``y`` columns of one Arrow batch."""
+    return probe_batch(
+        bundle, _float64(batch.column("x")), _float64(batch.column("y")), exact
+    )
 
 
 def spatial_join(
@@ -277,8 +340,10 @@ def spatial_join(
 ) -> DataFrame:
     """DataFrame -> DataFrame point-polygon join (pid, poly_id, true_hit).
 
-    ``exact=None`` derives the refinement from the bundle mode
-    (approx -> no PIP tests, accurate -> PIP tests on candidates).
+    ``points_df`` needs ``pid``, ``x`` and ``y`` columns of any numeric
+    type; other columns are ignored. ``exact=None`` derives the refinement
+    from the bundle mode (approx -> no PIP tests, accurate -> PIP tests on
+    candidates).
     """
     if exact is None:
         exact = bundle.mode == "accurate"
@@ -286,19 +351,18 @@ def spatial_join(
 
     def kernel(batches):
         b = bc.value
-        for pdf in batches:
-            px = pdf["x"].to_numpy(np.float64)
-            py = pdf["y"].to_numpy(np.float64)
-            rows, polys, _true, _stats = probe_batch(b, px, py, exact)
-            yield pd.DataFrame(
-                {
-                    "pid": pdf["pid"].to_numpy(np.int64)[rows],
-                    "poly_id": polys.astype(np.int64),
-                    "true_hit": _true,
-                }
+        for batch in batches:
+            rows, polys, is_true, _stats = _probe_arrow(b, batch, exact)
+            yield pa.RecordBatch.from_arrays(
+                [
+                    batch.column("pid").take(rows),
+                    pa.array(polys.astype(np.int64, copy=False)),
+                    pa.array(is_true),
+                ],
+                schema=_JOIN_ARROW_SCHEMA,
             )
 
-    return points_df.mapInPandas(kernel, schema="pid long, poly_id long, true_hit boolean")
+    return _project(points_df, ("pid", "x", "y")).mapInArrow(kernel, _JOIN_SCHEMA)
 
 
 def spatial_join_stats(
@@ -310,35 +374,27 @@ def spatial_join_stats(
     """Aggregated per-partition probe counters (points, STH, PIP tests...).
 
     The paper reports these (e.g. the solely-true-hits metric of Table 7);
-    each partition emits one counter row, aggregated on the driver.
+    each partition emits one counter row, aggregated on the driver. The
+    kernel reads only ``x`` and ``y``, over the same Arrow input path as
+    ``spatial_join``.
     """
     if exact is None:
         exact = bundle.mode == "accurate"
     bc = spark.sparkContext.broadcast(bundle)
 
     def kernel(batches):
-        totals = {
-            "points": 0,
-            "true_pairs": 0,
-            "cand_pairs": 0,
-            "pip_tests": 0,
-            "sth_points": 0,
-            "result_pairs": 0,
-        }
-        for pdf in batches:
-            px = pdf["x"].to_numpy(np.float64)
-            py = pdf["y"].to_numpy(np.float64)
-            rows, _p, _t, stats = probe_batch(bc.value, px, py, exact)
-            for k in ("points", "true_pairs", "cand_pairs", "pip_tests", "sth_points"):
+        totals = dict.fromkeys(_STATS_COLUMNS, 0)
+        for batch in batches:
+            rows, _p, _t, stats = _probe_arrow(bc.value, batch, exact)
+            for k in _STATS:
                 totals[k] += stats[k]
             totals["result_pairs"] += len(rows)
-        yield pd.DataFrame([totals])
+        yield pa.RecordBatch.from_pydict(
+            {k: [v] for k, v in totals.items()}, schema=_STATS_ARROW_SCHEMA
+        )
 
-    schema = (
-        "points long, true_pairs long, cand_pairs long, pip_tests long, "
-        "sth_points long, result_pairs long"
-    )
-    pdf = points_df.mapInPandas(kernel, schema=schema).toPandas()
+    schema = ", ".join(f"{k} long" for k in _STATS_COLUMNS)
+    pdf = _project(points_df, ("x", "y")).mapInArrow(kernel, schema).toPandas()
     return pdf.sum().to_frame().T
 
 

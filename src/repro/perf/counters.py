@@ -16,8 +16,10 @@ touches an 8-byte key.
 """
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -86,3 +88,24 @@ def measure_probe(
         ns_per_point=ns,
         throughput_mpts=n / best / 1e6,
     )
+
+
+def interleaved_seconds(
+    fns: Sequence[Callable[[], object]], repeats: int
+) -> tuple[list[float], list[object]]:
+    """Median wall clock of each of ``fns`` over ``repeats`` rounds, and
+    each one's last result.
+
+    Every round calls each function once, in turn, so load that comes and
+    goes during the measurement slows all of them alike: their ratios are
+    what the tables report, and those stay stable where separate best-of-N
+    timings would not.
+    """
+    times: list[list[float]] = [[] for _ in fns]
+    results: list[object] = [None] * len(fns)
+    for _ in range(repeats):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            results[i] = fn()
+            times[i].append(time.perf_counter() - t0)
+    return [statistics.median(t) for t in times], results

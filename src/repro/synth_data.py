@@ -326,8 +326,17 @@ def points_df(
     seed: int = 7,
     partitions: int | None = None,
 ) -> DataFrame:
-    """Point workload as a Spark DataFrame (pid, x, y)."""
+    """Point workload as a Spark DataFrame (pid, x, y).
+
+    The rows are local-checkpointed into the executors' block store, so
+    the plan holds a reference to them rather than the rows themselves. A
+    DataFrame made from driver-side data is a ``LocalRelation``: every
+    query over it (even after ``persist()``) re-plans and ships all rows as
+    a literal, which at 1 M points costs more than the join itself.
+    """
     x, y = points_np(kind, n, extent=extent, seed=seed)
     pdf = pd.DataFrame({"pid": np.arange(n, dtype=np.int64), "x": x, "y": y})
     df = spark.createDataFrame(pdf)
-    return df.repartition(partitions) if partitions else df
+    if partitions:
+        df = df.repartition(partitions)
+    return df.localCheckpoint()

@@ -9,12 +9,13 @@ only benefit from the smaller total cell count.
 """
 from __future__ import annotations
 
-from repro.perf.counters import measure_probe
+from repro.perf.counters import interleaved_seconds
 from repro.tables import emit, format_rows
 from repro.tables import datasets as ds
 
 STRUCTURES = ("ACT1", "ACT2", "ACT4", "GBT", "LB")
 _BUNDLE_NAME = {"ACT1": "act1", "ACT2": "act2", "ACT4": "act4", "GBT": "btree", "LB": "lb"}
+DATASETS = ("boroughs", "neighborhoods", "census")
 
 #: Paper Table 3: {structure: (b_over_n, b_over_c, n_over_c)}.
 PAPER = {
@@ -25,20 +26,30 @@ PAPER = {
     "LB": (1.83, 2.63, 1.44),
 }
 
+#: Probed points and timing rounds per scale. The test scale probes a
+#: fixed 100 K points (not the test workload's 20 K): a 1-2 ms probe is
+#: too short to time reliably on a shared machine.
+N_PROBE = {"test": 100_000, "bench": ds.POINTS["bench"]}
+REPEATS = {"test": 9, "bench": 5}
+
 
 def throughputs(
     spark=None, scale: str = "test", precision_m: float = 4.0, kind: str = "taxi"
 ) -> dict[tuple[str, str], float]:
-    """{(structure, dataset): throughput Mpts/s} — also feeds Table 5."""
-    _px, _py, pt = ds.point_cells(kind, scale)
+    """{(structure, dataset): throughput Mpts/s}, the median over rounds
+    that probe the three datasets' indexes in turn."""
+    _px, _py, pt = ds.point_cells(kind, scale, n=N_PROBE[scale])
     out = {}
-    for name in ("boroughs", "neighborhoods", "census"):
-        for structure in STRUCTURES:
-            bundle = ds.index(
-                name, scale, _BUNDLE_NAME[structure], "approx", precision_m, spark
-            )
-            c = measure_probe(structure, bundle.index, pt)
-            out[(structure, name)] = c.throughput_mpts
+    for structure in STRUCTURES:
+        indexes = [
+            ds.index(name, scale, _BUNDLE_NAME[structure], "approx", precision_m, spark).index
+            for name in DATASETS
+        ]
+        seconds, _ = interleaved_seconds(
+            [lambda index=index: index.probe(pt) for index in indexes], REPEATS[scale]
+        )
+        for name, s in zip(DATASETS, seconds):
+            out[(structure, name)] = len(pt) / s / 1e6
     return out
 
 

@@ -9,10 +9,8 @@ data with a 2009-trained index).
 """
 from __future__ import annotations
 
-import time
-
-
 from repro.core.join import probe_batch
+from repro.perf.counters import interleaved_seconds
 from repro.tables import emit, format_rows
 from repro.tables import datasets as ds
 
@@ -31,31 +29,33 @@ PAPER = {
 PAPER_TRAIN_SIZES = (100_000, 500_000, 1_000_000)
 
 
-def join_seconds(bundle, px, py, repeats: int = 2) -> tuple[float, dict]:
-    """Best-of-N wall clock of the full accurate join (probe + refine)."""
-    best = float("inf")
-    stats = {}
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        _rows, _polys, _t, stats = probe_batch(bundle, px, py, exact=True)
-        best = min(best, time.perf_counter() - t0)
-    return best, stats
-
-
-#: Query points for the timed accurate join. 500k (vs 2M elsewhere) keeps
-#: the PIP-heavy boroughs runs tractable; throughput is per-point.
-N_QUERY = {"test": 20_000, "bench": 500_000}
+#: Query points for the timed accurate join, and timing rounds. 500k (vs
+#: 2M elsewhere) keeps the PIP-heavy boroughs runs tractable; throughput is
+#: per-point. The test scale joins a fixed 100 K points: a join of a few
+#: milliseconds is too short to time reliably on a shared machine.
+N_QUERY = {"test": 100_000, "bench": 500_000}
+REPEATS = {"test": 9, "bench": 3}
 
 
 def run(spark=None, scale: str = "test") -> list[dict]:
     px, py, _pt = ds.point_cells("taxi", scale, n=N_QUERY[scale], seed=7)
     rows = []
     for name in ("boroughs", "neighborhoods", "census"):
-        base = ds.accurate_index(name, scale, n_train=0, spark=spark)
-        t_base, st_base = join_seconds(base, px, py)
-        for n_train, n_paper in zip(ds.TRAIN_SIZES[scale], PAPER_TRAIN_SIZES):
-            trained = ds.accurate_index(name, scale, n_train=n_train, spark=spark)
-            t_tr, st_tr = join_seconds(trained, px, py)
+        bundles = [
+            ds.accurate_index(name, scale, n_train=n, spark=spark)
+            for n in (0, *ds.TRAIN_SIZES[scale])
+        ]
+        # Untrained and trained joins are timed in turn, round by round, so
+        # the speedups compare medians taken under the same load.
+        seconds, results = interleaved_seconds(
+            [lambda b=b: probe_batch(b, px, py, exact=True) for b in bundles],
+            REPEATS[scale],
+        )
+        t_base, st_base = seconds[0], results[0][3]
+        for n_train, n_paper, t_tr, res in zip(
+            ds.TRAIN_SIZES[scale], PAPER_TRAIN_SIZES, seconds[1:], results[1:]
+        ):
+            st_tr = res[3]
             rows.append(
                 {
                     "dataset": name,

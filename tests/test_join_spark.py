@@ -43,6 +43,30 @@ def points_sdf(spark, points_pdf):
     return spark.createDataFrame(points_pdf).repartition(8)
 
 
+#: Points the cell grid does not cover: outside ``[0, extent)`` on one
+#: axis, NaN or infinite. None may be paired with a polygon in any mode.
+INVALID_XY = [
+    (-500.0, 10.0),
+    (8692.0, 10.0),
+    (10.0, -3000.0),
+    (np.nan, 10.0),
+    (1e12, 5.0),
+    (-np.inf, 5.0),
+]
+
+
+@pytest.fixture(scope="module")
+def invalid_sdf(spark):
+    """``INVALID_XY`` plus a row whose ``x`` is null."""
+    rows = [(i, x, y) for i, (x, y) in enumerate(INVALID_XY)]
+    rows.append((len(INVALID_XY), None, 10.0))
+    return spark.createDataFrame(rows, "pid long, x double, y double")
+
+
+def pairs(joined):
+    return set(map(tuple, joined.select("pid", "poly_id").toPandas().to_numpy().tolist()))
+
+
 @pytest.fixture(scope="module")
 def exact_bundle(neigh):
     return build_index(neigh, sd.EXTENT, mode="accurate", precision_m=None)
@@ -189,6 +213,94 @@ class TestJoinStats:
         )
         for k in ("points", "true_pairs", "cand_pairs", "pip_tests", "sth_points"):
             assert int(stats[k].iloc[0]) == driver[k], k
+
+    @pytest.mark.parametrize("bundle_name", ["approx_bundle", "exact_bundle"])
+    def test_stats_equal_summed_driver_stats(
+        self, request, spark, points_pdf, points_sdf, invalid_sdf, bundle_name
+    ):
+        """Every counter, rejected points included, summed over the
+        partitions equals the driver kernel's over the same points."""
+        bundle = request.getfixturevalue(bundle_name)
+        sdf = points_sdf.unionByName(invalid_sdf).repartition(5)
+        stats = spatial_join_stats(spark, sdf, bundle)
+        inv = np.array(INVALID_XY + [(np.nan, 10.0)])
+        rows, _p, _t, driver = probe_batch(
+            bundle,
+            np.concatenate([points_pdf["x"].to_numpy(), inv[:, 0]]),
+            np.concatenate([points_pdf["y"].to_numpy(), inv[:, 1]]),
+            exact=bundle.mode == "accurate",
+        )
+        driver["result_pairs"] = len(rows)
+        assert driver["rejected_points"] == len(inv)
+        assert set(stats.columns) == set(driver)
+        for k, v in driver.items():
+            assert int(stats[k].iloc[0]) == v, k
+
+
+class TestInputDomain:
+    """Invalid points are dropped before the probe (ROADMAP aim 3; the
+    approximate join's §3.2 bound must hold for every input)."""
+
+    @pytest.mark.parametrize("bundle_name", ["approx_bundle", "exact_bundle"])
+    def test_probe_batch_pairs_no_invalid_point(self, request, bundle_name):
+        bundle = request.getfixturevalue(bundle_name)
+        # The driver-side form of a null coordinate is NaN.
+        inv = np.array(INVALID_XY + [(np.nan, 10.0)])
+        for exact in (False, True):
+            rows, polys, _t, stats = probe_batch(bundle, inv[:, 0], inv[:, 1], exact)
+            assert len(rows) == len(polys) == 0
+            assert stats["points"] == stats["rejected_points"] == len(inv)
+            assert stats["true_pairs"] == stats["cand_pairs"] == stats["sth_points"] == 0
+
+    @pytest.mark.parametrize("bundle_name", ["approx_bundle", "exact_bundle"])
+    def test_spatial_join_pairs_no_invalid_point(
+        self, request, spark, invalid_sdf, bundle_name
+    ):
+        bundle = request.getfixturevalue(bundle_name)
+        for exact in (False, True):
+            assert spatial_join(spark, invalid_sdf, bundle, exact=exact).count() == 0
+
+    def test_rows_index_the_input(self, points_pdf, approx_bundle):
+        """With invalid points mixed in, each pair still names the row of
+        the input it came from."""
+        px = points_pdf["x"].to_numpy()[:500]
+        py = points_pdf["y"].to_numpy()[:500]
+        rows, polys, _t, _s = probe_batch(approx_bundle, px, py, exact=False)
+        inv = np.array(INVALID_XY)
+        at = np.arange(0, 500, 500 // len(inv))[: len(inv)]
+        mx = np.insert(px, at, inv[:, 0])
+        my = np.insert(py, at, inv[:, 1])
+        m_rows, m_polys, _t, stats = probe_batch(approx_bundle, mx, my, exact=False)
+        assert stats["rejected_points"] == len(inv)
+        valid = np.delete(np.arange(len(mx)), at + np.arange(len(at)))
+        assert sorted(zip(valid[rows].tolist(), polys.tolist())) == sorted(
+            zip(m_rows.tolist(), m_polys.tolist())
+        )
+
+
+class TestInputContract:
+    """``spatial_join`` reads ``pid``, ``x`` and ``y`` by name, as long and
+    double, whatever else the input holds."""
+
+    def test_extra_columns_and_order_ignored(self, spark, points_sdf, exact_bundle):
+        base = pairs(spatial_join(spark, points_sdf, exact_bundle))
+        wider = points_sdf.select(
+            F.concat(F.lit("p"), F.col("pid").cast("string")).alias("label"), "y", "x", "pid"
+        )
+        assert pairs(spatial_join(spark, wider, exact_bundle)) == base
+
+    def test_narrow_numeric_types(self, spark, points_pdf, exact_bundle):
+        x32 = points_pdf["x"].to_numpy(np.float32)
+        y32 = points_pdf["y"].to_numpy(np.float32)
+        wide = pd.DataFrame(
+            {"pid": points_pdf["pid"], "x": x32.astype(np.float64), "y": y32.astype(np.float64)}
+        )
+        narrow = pd.DataFrame({"pid": points_pdf["pid"].astype(np.int32), "x": x32, "y": y32})
+        narrow_sdf = spark.createDataFrame(narrow)
+        assert dict(narrow_sdf.dtypes) == {"pid": "int", "x": "float", "y": "float"}
+        joined = spatial_join(spark, narrow_sdf, exact_bundle)
+        assert dict(joined.dtypes) == {"pid": "bigint", "poly_id": "bigint", "true_hit": "boolean"}
+        assert pairs(joined) == pairs(spatial_join(spark, spark.createDataFrame(wide), exact_bundle))
 
 
 class TestDistributedBuild:

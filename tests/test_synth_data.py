@@ -119,3 +119,19 @@ class TestPointsDF:
     def test_repartition(self, spark):
         df = sd.points_df(spark, "taxi", 100, seed=4, partitions=7)
         assert df.rdd.getNumPartitions() == 7
+
+    @pytest.mark.parametrize("partitions", [None, 3])
+    def test_plan_references_rows_instead_of_holding_them(self, spark, partitions):
+        """A LocalRelation would re-plan and ship every row on every query."""
+        df = sd.points_df(spark, "taxi", 1_000, seed=4, partitions=partitions)
+        plan = df._jdf.queryExecution().optimizedPlan().toString()
+        assert "LocalRelation" not in plan
+
+    @pytest.mark.parametrize("kind", ["taxi", "uniform"])
+    def test_rows_equal_points_np(self, spark, kind):
+        df = sd.points_df(spark, kind, 2_000, seed=9, partitions=5)
+        pdf = df.toPandas().sort_values("pid", ignore_index=True)
+        x, y = sd.points_np(kind, 2_000, seed=9)
+        np.testing.assert_array_equal(pdf["pid"].to_numpy(), np.arange(2_000))
+        np.testing.assert_array_equal(pdf["x"].to_numpy(), x)
+        np.testing.assert_array_equal(pdf["y"].to_numpy(), y)
