@@ -10,10 +10,9 @@ text claims are checked here (they anchor Figure 10 / §4.2):
 """
 from __future__ import annotations
 
-import time
-
 from repro.baselines.rtree import build_rtree, rtree_join
 from repro.baselines.shapeindex import build_shapeindex
+from repro.perf.counters import interleaved_seconds
 from repro.tables import emit, format_rows
 from repro.tables import datasets as ds
 from repro import synth_data as sd
@@ -29,6 +28,10 @@ PAPER = {
 #: Fewer points than the main tables: RT on the fractal boroughs PIP-tests
 #: everything, exactly the pathology the paper reports.
 N_QUERY = {"test": 5_000, "bench": 100_000}
+#: Timing rounds per scale: each round runs every join of a dataset once,
+#: and each join's time is its median over the rounds. A test-scale join
+#: takes milliseconds, so one preemption would decide a single timing.
+REPEATS = {"test": 9, "bench": 3}
 
 
 def run(spark=None, scale: str = "test") -> list[dict]:
@@ -39,9 +42,6 @@ def run(spark=None, scale: str = "test") -> list[dict]:
         pset = ds.polygons(name, scale)
         # ACT4 accurate (untrained) — same config as Figure 10.
         bundle = ds.accurate_index(name, scale, n_train=0, spark=spark)
-        t0 = time.perf_counter()
-        _r, _p, _t, act_stats = probe_batch(bundle, px, py, exact=True)
-        act_s = time.perf_counter() - t0
         # Trained ACT4 (largest training size) for the PIP-reduction claim.
         trained = ds.accurate_index(
             name, scale, n_train=ds.TRAIN_SIZES[scale][-1], spark=spark
@@ -49,29 +49,30 @@ def run(spark=None, scale: str = "test") -> list[dict]:
         _r2, _p2, _t2, tr_stats = probe_batch(trained, px, py, exact=True)
         # R-tree filter & refine.
         rt = build_rtree(pset)
-        t0 = time.perf_counter()
-        _rp, _rg, rt_stats = rtree_join(px, py, rt, pset)
-        rt_s = time.perf_counter() - t0
+        joins = {
+            "act": lambda: probe_batch(bundle, px, py, exact=True),
+            "rt": lambda: rtree_join(px, py, rt, pset),
+        }
         # S2ShapeIndex analogs. The paper quotes SI only for neighborhoods
         # and census (§4.2); at bench scale SI1 on the fractal boroughs
         # would need millions of cells (1 edge per ~1 m boundary segment),
         # so it is skipped there like the paper's text does.
-        si_mpts = {1: None, 10: None}
         if not (scale == "bench" and name == "boroughs"):
             for me in (1, 10):
                 si = build_shapeindex(
                     pset, sd.EXTENT, max_edges_per_cell=me, max_level=12
                 )
-                t0 = time.perf_counter()
-                si.join(px, py)
-                si_mpts[me] = n / (time.perf_counter() - t0) / 1e6
+                joins[f"si{me}"] = lambda si=si: si.join(px, py)
+        seconds, results = interleaved_seconds(list(joins.values()), REPEATS[scale])
+        mpts = {k: n / s / 1e6 for k, s in zip(joins, seconds)}
+        act_stats, rt_stats = results[0][3], results[1][2]
         rows.append(
             {
                 "dataset": name,
-                "ACT4_Mpts": round(n / act_s / 1e6, 2),
-                "SI1_Mpts": round(si_mpts[1], 2) if si_mpts[1] else "-",
-                "SI10_Mpts": round(si_mpts[10], 2) if si_mpts[10] else "-",
-                "RT_Mpts": round(n / rt_s / 1e6, 3),
+                "ACT4_Mpts": round(mpts["act"], 2),
+                "SI1_Mpts": round(mpts["si1"], 2) if "si1" in mpts else "-",
+                "SI10_Mpts": round(mpts["si10"], 2) if "si10" in mpts else "-",
+                "RT_Mpts": round(mpts["rt"], 3),
                 "act_pip_tests": act_stats["pip_tests"],
                 "trained_pip_tests": tr_stats["pip_tests"],
                 "mbr_filter_pip_tests": rt_stats["pip_tests"],
