@@ -1,3 +1,2 @@
 """Baselines the paper compares against: sorted-vector binary search (LB),
-B-tree (GBT), R-tree on MBRs (RT), an S2ShapeIndex analog (SI), and a
-CPU simulation of the GPU raster join (BRJ/ARJ)."""
+B-tree (GBT), R-tree on MBRs (RT) and an S2ShapeIndex analog (SI)."""

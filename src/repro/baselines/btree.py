@@ -38,8 +38,6 @@ class BTreeIndex:
     ids: np.ndarray  # leaf level: sorted cell ids
     values: np.ndarray
     lookup_table: np.ndarray
-    rmin: np.ndarray
-    rmax: np.ndarray
     levels: list[np.ndarray] = field(default_factory=list)  # top-down internals
     extent: float = 0.0
 
@@ -82,13 +80,9 @@ class BTreeIndex:
         base = node * NODE_KEYS
         leaf = self.ids[np.minimum(base[:, None] + np.arange(NODE_KEYS), n - 1)]
         within = (leaf <= point_ids[:, None]).sum(axis=1)
-        i = np.minimum(base + within, n)
-        left = np.maximum(i - 1, 0)
-        right = np.minimum(i, n - 1)
-        lok = (i > 0) & (self.rmax[left] >= point_ids)
-        rok = (i < n) & (self.rmin[right] <= point_ids)
-        out[lok] = self.values[left[lok]]
-        out[rok] = self.values[right[rok]]
+        cell = cellid.locate(self.ids, point_ids, np.minimum(base + within, n))
+        hit = cell >= 0
+        out[hit] = self.values[cell[hit]]
         return out, np.full(npts, self.n_levels, np.int64)
 
     def probe_refs(self, point_ids):
@@ -111,8 +105,6 @@ def build_btree(sc: SuperCovering) -> BTreeIndex:
         ids=sc.ids,
         values=values,
         lookup_table=table,
-        rmin=cellid.range_min(sc.ids),
-        rmax=cellid.range_max(sc.ids),
         levels=levels,
         extent=sc.extent,
     )

@@ -27,14 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import cellid
-from repro.geometry.polygon import PolygonSet
+from repro.geometry.polygon import PolygonSet, segments_cross, segments_intersect_rects
 
 
 @dataclass
 class ShapeIndex:
     ids: np.ndarray  # sorted disjoint cell ids
-    rmin: np.ndarray
-    rmax: np.ndarray
     # Ragged per-cell edge lists (indices into pset edge arrays).
     edge_offsets: np.ndarray
     edge_idx: np.ndarray
@@ -59,18 +57,7 @@ class ShapeIndex:
     def locate(self, point_ids: np.ndarray) -> np.ndarray:
         """Index of the containing cell per point (-1 = none)."""
         point_ids = np.asarray(point_ids, np.int64)
-        n = len(self.ids)
-        out = np.full(len(point_ids), -1, np.int64)
-        if n == 0:
-            return out
-        i = np.searchsorted(self.ids, point_ids)
-        left = np.maximum(i - 1, 0)
-        right = np.minimum(i, n - 1)
-        lok = (i > 0) & (self.rmax[left] >= point_ids)
-        rok = (i < n) & (self.rmin[right] <= point_ids)
-        out[lok] = left[lok]
-        out[rok] = right[rok]
-        return out
+        return cellid.locate(self.ids, point_ids, np.searchsorted(self.ids, point_ids))
 
     def join(
         self, px: np.ndarray, py: np.ndarray
@@ -114,10 +101,11 @@ class ShapeIndex:
             for p in cell_polys:
                 pe = eidx[epoly[eidx] == p]
                 edges_tested += len(pts) * len(pe)
-                cross = _segment_crossings(
-                    px[pts], py[pts], cx, cy, ex1[pe], ey1[pe], ex2[pe], ey2[pe]
+                cross, _ = segments_cross(
+                    px[pts, None], py[pts, None], cx, cy,
+                    ex1[None, pe], ey1[None, pe], ex2[None, pe], ey2[None, pe],
                 )
-                inside = (cross & 1).astype(bool)
+                inside = (cross.sum(axis=1) & 1).astype(bool)
                 if int(p) in cin:
                     inside = ~inside
                 hit = pts[inside]
@@ -128,44 +116,6 @@ class ShapeIndex:
         if not res_p:
             return np.empty(0, np.int64), np.empty(0, np.int64), stats
         return np.concatenate(res_p), np.concatenate(res_g), stats
-
-
-def _segment_crossings(px, py, cx, cy, ex1, ey1, ex2, ey2) -> np.ndarray:
-    """Crossings of segments (point -> (cx, cy)) with each edge, summed."""
-
-    def side(ax, ay, bx, by, qx, qy):
-        return (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
-
-    px = px[:, None]
-    py = py[:, None]
-    a1 = side(px, py, cx, cy, ex1[None, :], ey1[None, :])
-    a2 = side(px, py, cx, cy, ex2[None, :], ey2[None, :])
-    b1 = side(ex1[None, :], ey1[None, :], ex2[None, :], ey2[None, :], px, py)
-    b2 = side(ex1[None, :], ey1[None, :], ex2[None, :], ey2[None, :], cx, cy)
-    proper = ((a1 > 0) != (a2 > 0)) & ((b1 > 0) != (b2 > 0))
-    return proper.sum(axis=1)
-
-
-def _pairwise_rect_segment(
-    rx0, ry0, rx1, ry1, sx1, sy1, sx2, sy2
-) -> np.ndarray:
-    """Aligned (not cross-product) rect/segment separating-axis test."""
-    bbox_ok = (
-        (np.minimum(sx1, sx2) <= rx1)
-        & (np.maximum(sx1, sx2) >= rx0)
-        & (np.minimum(sy1, sy2) <= ry1)
-        & (np.maximum(sy1, sy2) >= ry0)
-    )
-    dx, dy = sx2 - sx1, sy2 - sy1
-    s00 = dx * (ry0 - sy1) - dy * (rx0 - sx1)
-    s01 = dx * (ry1 - sy1) - dy * (rx0 - sx1)
-    s10 = dx * (ry0 - sy1) - dy * (rx1 - sx1)
-    s11 = dx * (ry1 - sy1) - dy * (rx1 - sx1)
-    straddles = ~(
-        ((s00 > 0) & (s01 > 0) & (s10 > 0) & (s11 > 0))
-        | ((s00 < 0) & (s01 < 0) & (s10 < 0) & (s11 < 0))
-    )
-    return bbox_ok & straddles
 
 
 def _centers_containment(
@@ -197,9 +147,10 @@ def build_shapeindex(
     ex2, ey2 = pset.edge_x2, pset.edge_y2
     # Initial pairs: full product (few start cells).
     x0, y0, x1, y1 = cellid.cell_bounds(cells, extent)
-    from repro.geometry.polygon import segments_intersect_rects
-
-    hit = segments_intersect_rects(ex1, ey1, ex2, ey2, x0, y0, x1, y1)
+    hit = segments_intersect_rects(
+        ex1[None, :], ey1[None, :], ex2[None, :], ey2[None, :],
+        x0[:, None], y0[:, None], x1[:, None], y1[:, None],
+    )
     pair_cell, pair_edge = (a.astype(np.int64) for a in np.nonzero(hit))
 
     final_cells: list[np.ndarray] = []
@@ -233,9 +184,9 @@ def build_shapeindex(
         kid_idx = (p_pos[:, None] * 4 + np.arange(4)[None, :]).reshape(-1)
         edge_idx = np.repeat(p_edge, 4)
         kx0, ky0, kx1, ky1 = cellid.cell_bounds(kids, extent)
-        keep = _pairwise_rect_segment(
-            kx0[kid_idx], ky0[kid_idx], kx1[kid_idx], ky1[kid_idx],
+        keep = segments_intersect_rects(
             ex1[edge_idx], ey1[edge_idx], ex2[edge_idx], ey2[edge_idx],
+            kx0[kid_idx], ky0[kid_idx], kx1[kid_idx], ky1[kid_idx],
         )
         cells = kids
         pair_cell = kid_idx[keep]
@@ -276,8 +227,6 @@ def build_shapeindex(
     np.cumsum(cin_offsets, out=cin_offsets)
     return ShapeIndex(
         ids=ids,
-        rmin=cellid.range_min(ids),
-        rmax=cellid.range_max(ids),
         edge_offsets=edge_offsets,
         edge_idx=edge_idx,
         cin_offsets=cin_offsets,

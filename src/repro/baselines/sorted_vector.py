@@ -23,30 +23,21 @@ class SortedVectorIndex:
     ids: np.ndarray  # int64, sorted cell ids
     values: np.ndarray  # int64 tagged entries, aligned with ids
     lookup_table: np.ndarray  # int32
-    rmin: np.ndarray  # cached range_min per cell
-    rmax: np.ndarray  # cached range_max per cell
     extent: float
 
     def nbytes(self) -> int:
-        # The paper's LB stores (cell id, tagged entry) pairs + the table;
-        # the cached ranges are derived, not stored.
+        # The paper's LB stores (cell id, tagged entry) pairs + the table.
         return int(self.ids.nbytes + self.values.nbytes + self.lookup_table.nbytes)
 
     def probe(self, point_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (tagged entries, comparisons-per-point proxy)."""
         point_ids = np.asarray(point_ids, np.int64)
-        n = len(self.ids)
+        cell = cellid.locate(self.ids, point_ids, np.searchsorted(self.ids, point_ids))
+        hit = cell >= 0
         out = np.zeros(len(point_ids), np.int64)
-        if n:
-            i = np.searchsorted(self.ids, point_ids)
-            left = np.maximum(i - 1, 0)
-            right = np.minimum(i, n - 1)
-            lok = (i > 0) & (self.rmax[left] >= point_ids)
-            rok = (i < n) & (self.rmin[right] <= point_ids)
-            out[lok] = self.values[left[lok]]
-            out[rok] = self.values[right[rok]]
+        out[hit] = self.values[cell[hit]]
         comparisons = np.full(
-            len(point_ids), int(np.ceil(np.log2(max(2, n)))) + 2, np.int64
+            len(point_ids), int(np.ceil(np.log2(max(2, len(self.ids))))) + 2, np.int64
         )
         return out, comparisons
 
@@ -61,7 +52,5 @@ def build_sorted_vector(sc: SuperCovering) -> SortedVectorIndex:
         ids=sc.ids,
         values=values,
         lookup_table=table,
-        rmin=cellid.range_min(sc.ids),
-        rmax=cellid.range_max(sc.ids),
         extent=sc.extent,
     )

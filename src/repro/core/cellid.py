@@ -118,6 +118,27 @@ def contains(ancestor: np.ndarray, other: np.ndarray) -> np.ndarray:
     )
 
 
+def locate(ids: np.ndarray, point_ids: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Index into ``ids`` of the cell containing each leaf id (-1 = none).
+
+    ``ids`` must be sorted and disjoint (a super covering or a grid), and
+    ``pos`` is each leaf id's insertion position in ``ids`` — from
+    ``np.searchsorted`` or a tree descent. A containing cell then sits
+    right before or at that position (the S2 ``CellUnion`` lookup).
+    """
+    n = len(ids)
+    out = np.full(len(point_ids), -1, _I64)
+    if n == 0:
+        return out
+    left = np.maximum(pos - 1, 0)
+    right = np.minimum(pos, n - 1)
+    lok = (pos > 0) & (range_max(ids[left]) >= point_ids)
+    rok = (pos < n) & (range_min(ids[right]) <= point_ids)
+    out[lok] = left[lok]
+    out[rok] = right[rok]
+    return out
+
+
 def parent(ids: np.ndarray, level) -> np.ndarray:
     """Ancestor of each cell at coarser ``level`` (scalar or per-cell array)."""
     ids = _as_i64(ids)

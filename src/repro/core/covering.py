@@ -40,6 +40,7 @@ from repro.core import cellid
 from repro.geometry.polygon import (
     Polygon,
     point_in_polygon,
+    segments_cross,
     segments_intersect_rects,
 )
 
@@ -68,7 +69,8 @@ def classify_cells(ids: np.ndarray, poly: Polygon, extent: float) -> np.ndarray:
     for s in range(0, len(ids), step):
         sl = slice(s, s + step)
         boundary[sl] = segments_intersect_rects(
-            ex1, ey1, ex2, ey2, x0[sl], y0[sl], x1[sl], y1[sl]
+            ex1[None, :], ey1[None, :], ex2[None, :], ey2[None, :],
+            x0[sl, None], y0[sl, None], x1[sl, None], y1[sl, None],
         ).any(axis=1)
     rest = np.flatnonzero(~boundary)
     cx = (x0[rest] + x1[rest]) / 2.0
@@ -100,19 +102,6 @@ class _Frontier:
         return out
 
 
-def _segment_edge_crossings(
-    ax, ay, bx, by, ex1, ey1, ex2, ey2
-) -> tuple[np.ndarray, np.ndarray]:
-    """(crosses, degenerate) flags per (segment, edge) pair (flat arrays)."""
-    d1 = (bx - ax) * (ey1 - ay) - (by - ay) * (ex1 - ax)
-    d2 = (bx - ax) * (ey2 - ay) - (by - ay) * (ex2 - ax)
-    d3 = (ex2 - ex1) * (ay - ey1) - (ey2 - ey1) * (ax - ex1)
-    d4 = (ex2 - ex1) * (by - ey1) - (ey2 - ey1) * (bx - ex1)
-    crosses = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
-    degenerate = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
-    return crosses, degenerate
-
-
 def _initial_frontier(poly: Polygon, extent: float, max_start: int = 8) -> _Frontier:
     """Coarse seed cells covering the polygon's MBR, fully classified."""
     x0p, y0p, x1p, y1p = poly.mbr()
@@ -127,7 +116,10 @@ def _initial_frontier(poly: Polygon, extent: float, max_start: int = 8) -> _Fron
         level -= 1
     ex1, ey1, ex2, ey2 = poly.edges()
     x0, y0, x1, y1 = cellid.cell_bounds(cells, extent)
-    hit = segments_intersect_rects(ex1, ey1, ex2, ey2, x0, y0, x1, y1)
+    hit = segments_intersect_rects(
+        ex1[None, :], ey1[None, :], ex2[None, :], ey2[None, :],
+        x0[:, None], y0[:, None], x1[:, None], y1[:, None],
+    )
     pair_cell, pair_edge = np.nonzero(hit)
     cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
     center_in = point_in_polygon(cx, cy, ex1, ey1, ex2, ey2)
@@ -167,26 +159,10 @@ def _descend(f: _Frontier, split: np.ndarray, poly: Polygon, extent: float) -> _
     out_pairs_edge: list[np.ndarray] = []
     crossings = np.zeros(len(kids), np.int64)
     suspect = np.zeros(len(kids), dtype=bool)
-    # Pairwise (not cross-product) rect/segment separating-axis test — the
-    # same math as segments_intersect_rects, but over aligned flat arrays.
-    sx1, sy1v, sx2, sy2v = ex1[edge_idx], ey1[edge_idx], ex2[edge_idx], ey2[edge_idx]
-    rx0, ry0, rx1, ry1 = kx0[kid_idx], ky0[kid_idx], kx1[kid_idx], ky1[kid_idx]
-    bbox_ok = (
-        (np.minimum(sx1, sx2) <= rx1)
-        & (np.maximum(sx1, sx2) >= rx0)
-        & (np.minimum(sy1v, sy2v) <= ry1)
-        & (np.maximum(sy1v, sy2v) >= ry0)
+    sx1, sy1, sx2, sy2 = ex1[edge_idx], ey1[edge_idx], ex2[edge_idx], ey2[edge_idx]
+    intersects = segments_intersect_rects(
+        sx1, sy1, sx2, sy2, kx0[kid_idx], ky0[kid_idx], kx1[kid_idx], ky1[kid_idx]
     )
-    dx, dy = sx2 - sx1, sy2v - sy1v
-    s00 = dx * (ry0 - sy1v) - dy * (rx0 - sx1)
-    s01 = dx * (ry1 - sy1v) - dy * (rx0 - sx1)
-    s10 = dx * (ry0 - sy1v) - dy * (rx1 - sx1)
-    s11 = dx * (ry1 - sy1v) - dy * (rx1 - sx1)
-    straddles = ~(
-        ((s00 > 0) & (s01 > 0) & (s10 > 0) & (s11 > 0))
-        | ((s00 < 0) & (s01 < 0) & (s10 < 0) & (s11 < 0))
-    )
-    intersects = bbox_ok & straddles
     if intersects.any():
         out_pairs_cell.append(kid_idx[intersects])
         out_pairs_edge.append(edge_idx[intersects])
@@ -194,15 +170,15 @@ def _descend(f: _Frontier, split: np.ndarray, poly: Polygon, extent: float) -> _
     # Center-status propagation: crossings of parent-center->child-center
     # with the parent's edges.
     par_pair = np.repeat(p_pos, 4)
-    cr, dg = _segment_edge_crossings(
+    cr, dg = segments_cross(
         pcx[par_pair],
         pcy[par_pair],
         kcx[kid_idx],
         kcy[kid_idx],
         sx1,
-        sy1v,
+        sy1,
         sx2,
-        sy2v,
+        sy2,
     )
     np.add.at(crossings, kid_idx, cr.astype(np.int64))
     np.logical_or.at(suspect, kid_idx, dg)
@@ -349,76 +325,3 @@ def budgeted_interior_covering(
     if not result:
         return np.empty(0, np.int64)
     return np.concatenate(result)
-
-
-def refine_cell_against_polygon(
-    cells: np.ndarray,
-    poly: Polygon,
-    extent: float,
-    target_level: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Descend ``cells`` (candidates of ``poly``) down to ``target_level``.
-
-    Used by the approximate join's precision refinement (§3.2) and by index
-    training (§3.3.1): each cell splits level-by-level; children fully
-    inside become true-hit cells immediately (any level), children still
-    intersecting the boundary continue until ``target_level`` where they
-    stay candidates, children outside are dropped.
-
-    Returns ``(cell_ids, interior_flags)``.
-    """
-    out_ids: list[np.ndarray] = []
-    out_int: list[np.ndarray] = []
-    cells = np.asarray(cells, np.int64)
-    if len(cells) == 0:
-        return np.empty(0, np.int64), np.empty(0, bool)
-    levels = cellid.level_of(cells)
-    for lv in np.unique(levels):
-        batch = cells[levels == lv]
-        level = int(lv)
-        if level >= target_level:
-            out_ids.append(batch)
-            out_int.append(np.zeros(len(batch), dtype=bool))
-            continue
-        # Seed a frontier at this level with full classification.
-        ex1, ey1, ex2, ey2 = poly.edges()
-        x0, y0, x1, y1 = cellid.cell_bounds(batch, extent)
-        n_e = len(ex1)
-        step = max(1, _PAIR_CHUNK // max(1, n_e))
-        pc, pe = [], []
-        for s in range(0, len(batch), step):
-            hit = segments_intersect_rects(
-                ex1, ey1, ex2, ey2, x0[s : s + step], y0[s : s + step],
-                x1[s : s + step], y1[s : s + step],
-            )
-            c, e = np.nonzero(hit)
-            pc.append(c + s)
-            pe.append(e)
-        pair_cell = np.concatenate(pc) if pc else np.empty(0, np.int64)
-        pair_edge = np.concatenate(pe) if pe else np.empty(0, np.int64)
-        cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
-        f = _Frontier(
-            cells=batch,
-            level=level,
-            center_in=point_in_polygon(cx, cy, ex1, ey1, ex2, ey2),
-            boundary=np.bincount(
-                pair_cell, minlength=len(batch)
-            ).astype(bool),
-            pair_cell=pair_cell.astype(np.int64),
-            pair_edge=pair_edge.astype(np.int64),
-        )
-        while f.n and f.level < target_level:
-            split = np.flatnonzero(f.boundary)
-            if len(split) == 0:
-                break
-            f = _descend(f, split, poly, extent)
-            interior = ~f.boundary & f.center_in
-            if interior.any():
-                out_ids.append(f.cells[interior])
-                out_int.append(np.ones(int(interior.sum()), dtype=bool))
-        if f.boundary.any():
-            out_ids.append(f.cells[f.boundary])
-            out_int.append(np.zeros(int(f.boundary.sum()), dtype=bool))
-    if not out_ids:
-        return np.empty(0, np.int64), np.empty(0, bool)
-    return np.concatenate(out_ids), np.concatenate(out_int)

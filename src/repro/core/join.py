@@ -39,7 +39,7 @@ from repro.core.covering import (
 from repro.core.supercovering import SuperCovering, merge_coverings
 from repro.baselines.btree import build_btree
 from repro.baselines.sorted_vector import build_sorted_vector
-from repro.geometry.polygon import PolygonSet, point_in_polygon
+from repro.geometry.polygon import Polygon, PolygonSet, point_in_polygon
 
 #: Default S2RegionCoverer-analog budget (paper §4 "Polygon Approximations":
 #: max covering cells=128, max interior cells=256 at Earth scale). Scaled up
@@ -65,6 +65,24 @@ class PolygonIndexBundle:
     precision_m: float | None
     n_cells: int
     build_seconds: dict = field(default_factory=dict)
+
+
+def _cover_polygon(
+    poly: Polygon, extent: float, mode: str, boundary_level: int | None, cfg: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """One polygon's (cell ids, interior flags) for ``compute_coverings``."""
+    if mode == "approx":
+        return precision_covering(poly, extent, boundary_level)
+    c = budgeted_covering(
+        poly, extent, cfg["max_covering_cells"], cfg["max_covering_level"]
+    )
+    i = budgeted_interior_covering(
+        poly, extent, cfg["max_interior_cells"], cfg["max_interior_level"]
+    )
+    return (
+        np.concatenate([c, i]),
+        np.concatenate([np.zeros(len(c), bool), np.ones(len(i), bool)]),
+    )
 
 
 def compute_coverings(
@@ -95,25 +113,11 @@ def compute_coverings(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    def cover_one(pid: int) -> tuple[int, np.ndarray, np.ndarray]:
-        poly = pset.polygons[pid]
-        if mode == "approx":
-            ids, flags = precision_covering(poly, extent, boundary_level)
-            return pid, ids, flags
-        c = budgeted_covering(
-            poly, extent, cfg["max_covering_cells"], cfg["max_covering_level"]
-        )
-        i = budgeted_interior_covering(
-            poly, extent, cfg["max_interior_cells"], cfg["max_interior_level"]
-        )
-        return (
-            pid,
-            np.concatenate([c, i]),
-            np.concatenate([np.zeros(len(c), bool), np.ones(len(i), bool)]),
-        )
-
     if spark is None:
-        return [cover_one(pid) for pid in range(len(pset))]
+        return [
+            (pid, *_cover_polygon(poly, extent, mode, boundary_level, cfg))
+            for pid, poly in enumerate(pset.polygons)
+        ]
 
     # Distributed covering build: one task batch per partition of poly ids.
     bc = spark.sparkContext.broadcast((pset, extent, mode, boundary_level, cfg))
@@ -123,26 +127,9 @@ def compute_coverings(
         for pdf in batches:
             out = []
             for pid in pdf["poly_id"].to_numpy():
-                poly = pset_b.polygons[int(pid)]
-                if mode_b == "approx":
-                    ids, flags = precision_covering(poly, extent_b, blevel_b)
-                else:
-                    c = budgeted_covering(
-                        poly,
-                        extent_b,
-                        cfg_b["max_covering_cells"],
-                        cfg_b["max_covering_level"],
-                    )
-                    it = budgeted_interior_covering(
-                        poly,
-                        extent_b,
-                        cfg_b["max_interior_cells"],
-                        cfg_b["max_interior_level"],
-                    )
-                    ids = np.concatenate([c, it])
-                    flags = np.concatenate(
-                        [np.zeros(len(c), bool), np.ones(len(it), bool)]
-                    )
+                ids, flags = _cover_polygon(
+                    pset_b.polygons[int(pid)], extent_b, mode_b, blevel_b, cfg_b
+                )
                 out.append(
                     pd.DataFrame(
                         {

@@ -15,6 +15,9 @@ produces the same popularity-adaptive refinement — a region keeps getting
 refined for as many rounds as it keeps attracting training points (see
 DESIGN.md §3). A memory budget (max cells) stops refinement like the
 paper's "stop once a user-defined memory budget is exhausted".
+
+Precision refinement (§3.2) reuses the same one-level split: it splits
+every candidate cell coarser than the precision level until none is left.
 """
 from __future__ import annotations
 
@@ -33,22 +36,6 @@ class TrainingStats:
     rounds: int = 0
     cells_refined: int = 0
     n_cells_history: list[int] = field(default_factory=list)
-
-
-def _locate(sc: SuperCovering, point_ids: np.ndarray) -> np.ndarray:
-    """Index of the covering cell containing each point id (-1 = none)."""
-    n = sc.n_cells
-    out = np.full(len(point_ids), -1, np.int64)
-    if n == 0:
-        return out
-    i = np.searchsorted(sc.ids, point_ids)
-    left = np.maximum(i - 1, 0)
-    right = np.minimum(i, n - 1)
-    lok = (i > 0) & (cellid.range_max(sc.ids[left]) >= point_ids)
-    rok = (i < n) & (cellid.range_min(sc.ids[right]) <= point_ids)
-    out[lok] = left[lok]
-    out[rok] = right[rok]
-    return out
 
 
 def _split_expensive_cells(
@@ -120,7 +107,7 @@ def train_index(
     for _ in range(max_rounds):
         if max_cells is not None and sc.n_cells >= max_cells:
             break
-        hit = _locate(sc, pt)
+        hit = cellid.locate(sc.ids, pt, np.searchsorted(sc.ids, pt))
         hit = hit[hit >= 0]
         if len(hit) == 0:
             break
@@ -142,50 +129,16 @@ def refine_to_precision(
 ) -> SuperCovering:
     """Refine all boundary cells to the precision level (paper §3.2).
 
-    Every cell with a candidate reference coarser than the minimum level for
-    ``precision_m`` is replaced by re-classified descendants at that level
-    (keeping coarser fully-inside descendants as true hits). Used when an
+    Splits every cell with a candidate reference coarser than the minimum
+    level for ``precision_m`` with training's one-level split, until none
+    is left: children fully inside become true hits at their level,
+    boundary children reach that level as candidates. Used when an
     existing (e.g. accurate-mode) covering must be upgraded to a precision
     guarantee; the approx build path constructs at precision directly.
     """
-    from repro.core.covering import refine_cell_against_polygon
-
     target = cellid.min_level_for_precision(precision_m, sc.extent)
-    levels = sc.levels()
-    expensive = sc.candidate_mask()
-    coarse = expensive & (levels < target)
-
-    out_cells: list[np.ndarray] = []
-    out_polys: list[np.ndarray] = []
-    out_flags: list[np.ndarray] = []
-
-    counts = sc.ref_counts()
-    ref_cell = np.repeat(np.arange(sc.n_cells), counts)
-    # Refs of untouched cells + true refs of refined cells (region carrier:
-    # the whole refined cell is inside those polygons — merge recombines).
-    keep_ref = ~coarse[ref_cell] | sc.ref_interior
-    out_cells.append(np.repeat(sc.ids, counts)[keep_ref])
-    out_polys.append(sc.ref_poly[keep_ref])
-    out_flags.append(sc.ref_interior[keep_ref])
-
-    # Candidate refs of coarse cells: refine per referenced polygon.
-    cand_ref = coarse[ref_cell] & ~sc.ref_interior
-    cand_cells = np.repeat(sc.ids, counts)[cand_ref]
-    cand_poly = sc.ref_poly[cand_ref]
-    for p in np.unique(cand_poly):
-        ids, flags = refine_cell_against_polygon(
-            cand_cells[cand_poly == p], pset.polygons[int(p)], sc.extent, target
-        )
-        if len(ids):
-            out_cells.append(ids)
-            out_polys.append(np.full(len(ids), p, np.int32))
-            out_flags.append(flags)
-
-    if not out_cells:
-        return sc
-    return build_supercovering(
-        np.concatenate(out_cells),
-        np.concatenate(out_polys),
-        np.concatenate(out_flags),
-        sc.extent,
-    )
+    while True:
+        coarse = np.flatnonzero(sc.candidate_mask() & (sc.levels() < target))
+        if len(coarse) == 0:
+            return sc
+        sc = _split_expensive_cells(sc, coarse, pset)

@@ -27,13 +27,19 @@ TAG_OFFSET = 3
 
 _PAYLOAD_MASK = np.int64((1 << 62) - 1)
 _REF_MASK = np.int64((1 << 31) - 1)
+_MAX_POLYGONS = 1 << 30
 
 
 def make_ref(poly_id: np.ndarray, interior: np.ndarray) -> np.ndarray:
-    """31-bit polygon reference: id << 1 | interior (true-hit) flag."""
-    return (np.asarray(poly_id, np.int64) << np.int64(1)) | np.asarray(
-        interior, np.int64
-    )
+    """31-bit polygon reference: id << 1 | interior (true-hit) flag.
+
+    Raises ``ValueError`` for an id outside ``[0, 2**30)``, which the 31
+    bits cannot hold.
+    """
+    poly_id = np.asarray(poly_id, np.int64)
+    if poly_id.size and (poly_id.min() < 0 or poly_id.max() >= _MAX_POLYGONS):
+        raise ValueError(f"polygon ids must lie in [0, {_MAX_POLYGONS})")
+    return (poly_id << np.int64(1)) | np.asarray(interior, np.int64)
 
 
 def encode_values(

@@ -3,9 +3,11 @@
 This is the substrate the paper gets from the S2/boost libraries: the exact
 point-in-polygon (PIP) test via the ray-crossing algorithm (paper §2),
 minimum bounding rectangles, exact segment-vs-axis-aligned-rectangle
-intersection (used to classify quadtree cells as boundary cells), and
-point-to-polygon distance (used to verify the approximate join's precision
-bound).
+intersection (used to classify quadtree cells as boundary cells), proper
+segment crossings (used to carry point containment from a known point to a
+nearby one), and point-to-polygon distance (used to verify the approximate
+join's precision bound). Every segment/rect and segment/segment predicate
+of the package lives here.
 
 Polygons are simple (non-self-intersecting) rings given as vertex arrays;
 the closing edge from the last vertex back to the first is implicit.
@@ -196,37 +198,61 @@ def segments_intersect_rects(
     rx1: np.ndarray,
     ry1: np.ndarray,
 ) -> np.ndarray:
-    """Exact segment-vs-axis-aligned-rect intersection, (rects x segments).
+    """Exact segment-vs-axis-aligned-rect intersection (broadcasting).
 
     Separating axis theorem for a segment and a box: the only candidate
     separating axes are x, y (bounding-box overlap) and the segment normal
     (all four box corners strictly on one side). Exact for closed shapes:
     touching counts as intersecting.
 
-    Rect arrays have shape (R,), segment arrays shape (S,); result (R, S).
+    Operands broadcast: aligned (n,) arrays test pair-wise; rects as
+    ``[:, None]`` and segments as ``[None, :]`` give the (rects x segments)
+    cross product.
     """
-    rx0 = rx0[:, None]
-    ry0 = ry0[:, None]
-    rx1 = rx1[:, None]
-    ry1 = ry1[:, None]
     # Axis tests: segment bbox vs rect.
-    sbx0 = np.minimum(sx1, sx2)[None, :]
-    sbx1 = np.maximum(sx1, sx2)[None, :]
-    sby0 = np.minimum(sy1, sy2)[None, :]
-    sby1 = np.maximum(sy1, sy2)[None, :]
-    bbox_ok = (sbx0 <= rx1) & (sbx1 >= rx0) & (sby0 <= ry1) & (sby1 >= ry0)
+    bbox_ok = (
+        (np.minimum(sx1, sx2) <= rx1)
+        & (np.maximum(sx1, sx2) >= rx0)
+        & (np.minimum(sy1, sy2) <= ry1)
+        & (np.maximum(sy1, sy2) >= ry0)
+    )
     # Segment-normal test: signed side of each rect corner wrt segment line.
-    dx = (sx2 - sx1)[None, :]
-    dy = (sy2 - sy1)[None, :]
-    px = sx1[None, :]
-    py = sy1[None, :]
-    s00 = dx * (ry0 - py) - dy * (rx0 - px)
-    s01 = dx * (ry1 - py) - dy * (rx0 - px)
-    s10 = dx * (ry0 - py) - dy * (rx1 - px)
-    s11 = dx * (ry1 - py) - dy * (rx1 - px)
+    dx = sx2 - sx1
+    dy = sy2 - sy1
+    s00 = dx * (ry0 - sy1) - dy * (rx0 - sx1)
+    s01 = dx * (ry1 - sy1) - dy * (rx0 - sx1)
+    s10 = dx * (ry0 - sy1) - dy * (rx1 - sx1)
+    s11 = dx * (ry1 - sy1) - dy * (rx1 - sx1)
     all_pos = (s00 > 0) & (s01 > 0) & (s10 > 0) & (s11 > 0)
     all_neg = (s00 < 0) & (s01 < 0) & (s10 < 0) & (s11 < 0)
     return bbox_ok & ~(all_pos | all_neg)
+
+
+def segments_cross(
+    ax: np.ndarray,
+    ay: np.ndarray,
+    bx: np.ndarray,
+    by: np.ndarray,
+    ex1: np.ndarray,
+    ey1: np.ndarray,
+    ex2: np.ndarray,
+    ey2: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Proper crossings of segments a->b with edges e1->e2 (broadcasting).
+
+    Returns ``(crosses, degenerate)``: ``crosses`` when each segment's
+    endpoints lie strictly on opposite sides of the other's line;
+    ``degenerate`` when any of the four orientation values is zero
+    (collinear or touching), where crossing parity cannot be trusted.
+    Operands broadcast like :func:`segments_intersect_rects`.
+    """
+    d1 = (bx - ax) * (ey1 - ay) - (by - ay) * (ex1 - ax)
+    d2 = (bx - ax) * (ey2 - ay) - (by - ay) * (ex2 - ax)
+    d3 = (ex2 - ex1) * (ay - ey1) - (ey2 - ey1) * (ax - ex1)
+    d4 = (ex2 - ex1) * (by - ey1) - (ey2 - ey1) * (bx - ex1)
+    crosses = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+    degenerate = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
+    return crosses, degenerate
 
 
 def point_segment_distance(
@@ -277,24 +303,3 @@ def point_to_polygon_distance(
     out[inside] = 0.0
     return out
 
-
-def segments_cross_count(
-    ax1, ay1, ax2, ay2, bx1, by1, bx2, by2
-) -> np.ndarray:
-    """Count proper crossings of each A-segment with each B-segment.
-
-    A (N,) x B (E,) -> (N, E) boolean of "segments properly intersect"
-    summed over E. Used by the S2ShapeIndex-analog baseline, which decides
-    containment by counting crossings of the segment point->cell-center
-    against the polygon edges stored in the cell.
-    """
-
-    def side(x1, y1, x2, y2, px, py):
-        return (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
-
-    a1 = side(ax1, ay1, ax2, ay2, bx1, by1)
-    a2 = side(ax1, ay1, ax2, ay2, bx2, by2)
-    b1 = side(bx1, by1, bx2, by2, ax1, ay1)
-    b2 = side(bx1, by1, bx2, by2, ax2, ay2)
-    proper = ((a1 > 0) != (a2 > 0)) & ((b1 > 0) != (b2 > 0))
-    return proper.sum(axis=-1)

@@ -1,4 +1,4 @@
-"""Tests for the baseline structures: LB, GBT, RT, SI, raster join."""
+"""Tests for the baseline structures: LB, GBT, RT, SI."""
 import numpy as np
 import pytest
 
@@ -8,11 +8,10 @@ from repro.core.act import build_act
 from repro.core.covering import precision_covering
 from repro.core.supercovering import merge_coverings
 from repro.baselines.btree import NODE_KEYS, build_btree
-from repro.baselines.rasterjoin import build_raster_grid, raster_join
 from repro.baselines.rtree import build_rtree, rtree_join
 from repro.baselines.shapeindex import build_shapeindex
 from repro.baselines.sorted_vector import build_sorted_vector
-from repro.geometry.polygon import point_in_polygon_set, point_to_polygon_distance
+from repro.geometry.polygon import point_in_polygon_set
 
 
 @pytest.fixture(scope="module")
@@ -189,59 +188,3 @@ class TestShapeIndex:
         cell_of = si.locate(cellid.cell_from_point(px, py, sd.EXTENT))
         assert (cell_of >= 0).all()  # the SI cells partition the region
 
-
-class TestRasterJoin:
-    @pytest.fixture(scope="class")
-    def grid(self, neigh):
-        covs = [
-            (pid, *precision_covering(poly, sd.EXTENT, 9))
-            for pid, poly in enumerate(neigh.polygons)
-        ]
-        sc = merge_coverings(covs, sd.EXTENT)
-        return build_raster_grid(sc, level=9)
-
-    def test_brj_superset_within_bound(self, neigh, grid, taxi, truth):
-        """BRJ's false positives lie within the pixel diagonal (the paper's
-        bounded raster join guarantee)."""
-        px, py, _ = taxi
-        rows, polys, _ = raster_join(px, py, grid)
-        got = set(zip(rows.tolist(), polys.tolist()))
-        assert truth <= got
-        bound = np.sqrt(2) * sd.EXTENT / 2**9
-        fps = got - truth
-        for k, p in list(fps)[:50]:
-            d = point_to_polygon_distance(px[k : k + 1], py[k : k + 1], neigh.polygons[p])[0]
-            assert d <= bound + 1e-6
-
-    def test_arj_exact(self, neigh, grid, taxi, truth):
-        px, py, _ = taxi
-        rows, polys, stats = raster_join(px, py, grid, neigh, exact=True)
-        assert set(zip(rows.tolist(), polys.tolist())) == truth
-        assert stats["pip_tests"] > 0
-
-    def test_arj_requires_polygons(self, grid, taxi):
-        px, py, _ = taxi
-        with pytest.raises(ValueError):
-            raster_join(px, py, grid, None, exact=True)
-
-    def test_rejects_finer_cells_than_level(self, neigh):
-        covs = [
-            (pid, *precision_covering(poly, sd.EXTENT, 10))
-            for pid, poly in enumerate(neigh.polygons)
-        ]
-        sc = merge_coverings(covs, sd.EXTENT)
-        with pytest.raises(ValueError):
-            build_raster_grid(sc, level=9)
-
-    def test_memory_grows_4x_per_level(self, neigh):
-        """The BRJ weakness the paper exploits: uniform grids pay 4x memory
-        per precision level; ACT's adaptive grid does not."""
-        sizes = {}
-        for lv in (7, 8, 9):
-            covs = [
-                (pid, *precision_covering(poly, sd.EXTENT, lv))
-                for pid, poly in enumerate(neigh.polygons)
-            ]
-            sc = merge_coverings(covs, sd.EXTENT)
-            sizes[lv] = build_raster_grid(sc, level=lv).grid.nbytes
-        assert sizes[8] == 4 * sizes[7] and sizes[9] == 4 * sizes[8]

@@ -12,7 +12,6 @@ from repro.core.covering import (
     budgeted_interior_covering,
     classify_cells,
     precision_covering,
-    refine_cell_against_polygon,
 )
 from repro.geometry.polygon import Polygon, point_in_polygon
 
@@ -181,34 +180,3 @@ class TestBudgetedCoverings:
         conflict |= (pos < len(c)) & (cellid.range_min(c[np.minimum(pos, len(c) - 1)]) <= cellid.range_max(i))
         assert conflict.any()
 
-
-class TestRefineAgainstPolygon:
-    def test_refinement_levels(self, neigh):
-        poly = neigh.polygons[4]
-        coarse, flags = precision_covering(poly, sd.EXTENT, 7)
-        cand = coarse[~flags]
-        ids, fl = refine_cell_against_polygon(cand, poly, sd.EXTENT, 10)
-        lv = cellid.level_of(ids)
-        assert np.all(lv[~fl] == 10)  # still-candidate cells at target level
-        assert np.all(lv <= 10)
-
-    def test_refined_interiors_inside(self, neigh):
-        poly = neigh.polygons[4]
-        coarse, flags = precision_covering(poly, sd.EXTENT, 7)
-        ids, fl = refine_cell_against_polygon(coarse[~flags], poly, sd.EXTENT, 10)
-        x0, y0, x1, y1 = cellid.cell_bounds(ids[fl], sd.EXTENT)
-        cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
-        assert point_in_polygon(cx, cy, *poly.edges()).all()
-
-    def test_already_fine_passthrough(self, neigh):
-        poly = neigh.polygons[4]
-        cells = cellid.cells_in_rect(100, 100, 200, 200, 11, sd.EXTENT)
-        ids, fl = refine_cell_against_polygon(cells, poly, sd.EXTENT, 10)
-        np.testing.assert_array_equal(np.sort(ids), np.sort(cells))
-        assert not fl.any()
-
-    def test_empty_input(self):
-        ids, fl = refine_cell_against_polygon(
-            np.empty(0, np.int64), square(0, 0, 10), EXT, 10
-        )
-        assert len(ids) == 0 and len(fl) == 0

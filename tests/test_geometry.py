@@ -1,4 +1,4 @@
-"""Unit tests for the geometry substrate (PIP, segment/rect, distances)."""
+"""Unit tests for the geometry substrate (PIP, segment predicates, distances)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from repro.geometry.polygon import (
     point_in_polygon_set,
     point_segment_distance,
     point_to_polygon_distance,
+    segments_cross,
     segments_intersect_rects,
 )
 
@@ -146,7 +147,7 @@ class TestSegmentRect:
     def check(self, x1, y1, x2, y2):
         return segments_intersect_rects(
             np.array([x1]), np.array([y1]), np.array([x2]), np.array([y2]), *self.rect()
-        )[0, 0]
+        )[0]
 
     def test_crossing(self):
         assert self.check(-1, 0.5, 2, 0.5)
@@ -182,15 +183,17 @@ class TestSegmentRect:
         assert not self.check(1.5, 1.5, 1.5, 1.5)
 
     def test_matrix_shape(self):
+        seg = np.array([0.0, 2.0]), np.array([1.0, 3.0])
+        rect = np.array([0.0, 10.0]), np.array([5.0, 11.0])
         out = segments_intersect_rects(
-            np.array([0.0, 2.0]),
-            np.array([0.0, 2.0]),
-            np.array([1.0, 3.0]),
-            np.array([1.0, 3.0]),
-            np.array([0.0, 10.0]),
-            np.array([0.0, 10.0]),
-            np.array([5.0, 11.0]),
-            np.array([5.0, 11.0]),
+            seg[0][None, :],
+            seg[0][None, :],
+            seg[1][None, :],
+            seg[1][None, :],
+            rect[0][:, None],
+            rect[0][:, None],
+            rect[1][:, None],
+            rect[1][:, None],
         )
         assert out.shape == (2, 2)
         assert out[0].tolist() == [True, True] and out[1].tolist() == [False, False]
@@ -209,6 +212,52 @@ class TestSegmentRect:
                 assert exact
             if not exact:
                 assert not sampled
+
+
+class TestSegmentCross:
+    def cross(self, a, b, e1, e2):
+        c, d = segments_cross(*(np.array([v], float) for v in (*a, *b, *e1, *e2)))
+        return bool(c[0]), bool(d[0])
+
+    def test_proper_crossing(self):
+        assert self.cross((0, 0), (2, 2), (0, 2), (2, 0)) == (True, False)
+
+    def test_disjoint(self):
+        assert self.cross((0, 0), (1, 0), (0, 1), (1, 1)) == (False, False)
+        assert self.cross((0, 0), (1, 1), (2, 0), (3, -5)) == (False, False)
+
+    def test_touching_is_degenerate(self):
+        # The edge ends on the segment: parity cannot be trusted.
+        assert self.cross((0, 0), (2, 0), (1, 0), (1, 1))[1]
+        assert self.cross((0, 0), (2, 0), (3, 0), (4, 0))[1]  # collinear
+
+
+@pytest.mark.parametrize("predicate", ["rects", "cross"])
+def test_aligned_call_is_cross_product_diagonal(predicate):
+    """Each broadcasting predicate gives the same answer for aligned (n,)
+    operands as on the diagonal of its (n, n) cross-product call."""
+    g = np.random.default_rng(5)
+    n = 300
+    # Integer grid coordinates make touching and collinear cases common.
+    seg = [g.integers(0, 6, n).astype(float) for _ in range(4)]
+    other = [g.integers(0, 6, n).astype(float) for _ in range(4)]
+    cols = [a[None, :] for a in seg]
+    if predicate == "rects":
+        rect = [
+            np.minimum(other[0], other[2]),
+            np.minimum(other[1], other[3]),
+            np.maximum(other[0], other[2]),
+            np.maximum(other[1], other[3]),
+        ]
+        aligned = [segments_intersect_rects(*seg, *rect)]
+        crossed = [segments_intersect_rects(*cols, *(a[:, None] for a in rect))]
+    else:
+        aligned = segments_cross(*other, *seg)
+        crossed = segments_cross(*(a[:, None] for a in other), *cols)
+    for a, c in zip(aligned, crossed):
+        assert c.shape == (n, n)
+        np.testing.assert_array_equal(a, np.diagonal(c))
+        assert a.any() and not a.all()
 
 
 class TestDistances:

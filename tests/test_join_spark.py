@@ -305,14 +305,17 @@ class TestInputContract:
 
 class TestDistributedBuild:
     def test_spark_coverings_equal_driver(self, spark, neigh):
-        a = compute_coverings(neigh, sd.EXTENT, "approx", 15.0, spark=None)
-        b = compute_coverings(neigh, sd.EXTENT, "approx", 15.0, spark=spark)
-        assert len(a) == len(b)
-        for (pa, ca, fa), (pb, cb, fb) in zip(a, b):
-            assert pa == pb
-            oa, ob = np.argsort(ca), np.argsort(cb)
-            np.testing.assert_array_equal(ca[oa], cb[ob])
-            np.testing.assert_array_equal(fa[oa], fb[ob])
+        for mode, precision in (("approx", 15.0), ("accurate", None)):
+            a = compute_coverings(neigh, sd.EXTENT, mode, precision, spark=None)
+            b = compute_coverings(neigh, sd.EXTENT, mode, precision, spark=spark)
+            assert len(a) == len(b) == len(neigh)
+            for (pa, ca, fa), (pb, cb, fb) in zip(a, b):
+                assert pa == pb
+                # Accurate coverings may hold a cell twice (covering and
+                # interior covering), so order by (cell, flag).
+                oa, ob = np.lexsort((fa, ca)), np.lexsort((fb, cb))
+                np.testing.assert_array_equal(ca[oa], cb[ob])
+                np.testing.assert_array_equal(fa[oa], fb[ob])
 
     def test_spark_built_index_joins_correctly(self, spark, neigh, points_pdf, points_sdf):
         b = build_index(

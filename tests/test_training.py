@@ -157,6 +157,15 @@ class TestRefineToPrecision:
             zip(pi.tolist(), pg.tolist())
         )
 
+    def test_already_fine_unchanged(self, accurate_sc, neigh):
+        """A covering already at (or finer than) the precision level comes
+        back unchanged."""
+        fine = refine_to_precision(accurate_sc, neigh, 15.0)
+        for precision in (15.0, 60.0):
+            again = refine_to_precision(fine, neigh, precision)
+            for name in ("ids", "ref_offsets", "ref_poly", "ref_interior"):
+                np.testing.assert_array_equal(getattr(again, name), getattr(fine, name))
+
     def test_refinement_grows_cells(self, accurate_sc, neigh):
         sc = refine_to_precision(accurate_sc, neigh, 15.0)
         assert sc.n_cells > accurate_sc.n_cells

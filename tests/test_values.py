@@ -77,6 +77,18 @@ class TestEncode:
         entries, table = encode([[(big, True), (big - 1, False)]])
         assert decode_cell(entries, table, 0) == {(big, True), (big - 1, False)}
 
+    @pytest.mark.parametrize("n_refs", [1, 2, 3])
+    def test_poly_id_limit(self, n_refs):
+        """Ids up to 2**30 - 1 round-trip; 2**30 and negatives are rejected
+        instead of corrupting the 31-bit reference."""
+        top = 2**30 - 1
+        refs = [(top - i, i % 2 == 0) for i in range(n_refs)]
+        entries, table = encode([refs])
+        assert decode_cell(entries, table, 0) == set(refs)
+        for bad in (2**30, -1):
+            with pytest.raises(ValueError):
+                encode([[(bad, False)] + refs[1:]])
+
     def test_zero_poly_id(self):
         entries, table = encode([[(0, False)]])
         assert entries[0] != 0  # tag bits keep it distinct from the sentinel
