@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.geometry.polygon import PolygonSet, point_in_polygon
+from repro.core.join import refine_candidates
+from repro.geometry.polygon import PolygonSet
 
 MAX_ENTRIES = 8
 
@@ -160,21 +161,12 @@ def rtree_join(
     Returns (point_idx, poly_id, stats) for all exact containments.
     """
     cand_pts, cand_polys, node_acc = idx.query_points(px, py)
+    keep, n_pip = refine_candidates(
+        px, py, cand_pts, cand_polys, np.zeros(len(cand_pts), bool), pset
+    )
     stats = {
         "candidates": int(len(cand_pts)),
-        "pip_tests": int(len(cand_pts)),
+        "pip_tests": n_pip,
         "node_accesses": int(node_acc),
     }
-    if len(cand_pts) == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64), stats
-    order = np.argsort(cand_polys, kind="stable")
-    cand_pts = cand_pts[order]
-    cand_polys = cand_polys[order]
-    keep = np.zeros(len(cand_pts), dtype=bool)
-    uniq, starts = np.unique(cand_polys, return_index=True)
-    starts = np.append(starts, len(cand_polys))
-    for k, poly_id in enumerate(uniq):
-        a, b = starts[k], starts[k + 1]
-        ex1, ey1, ex2, ey2 = pset.poly_edges(int(poly_id))
-        keep[a:b] = point_in_polygon(px[cand_pts[a:b]], py[cand_pts[a:b]], ex1, ey1, ex2, ey2)
     return cand_pts[keep], cand_polys[keep], stats

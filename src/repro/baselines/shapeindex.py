@@ -16,8 +16,9 @@ paper's point — a much coarser grid and edge-restricted PIP tests instead
 of ACT's fine-grained true/candidate classification — is preserved).
 
 Build is vectorized: frontier cells propagate their intersecting-edge
-subsets down the quadtree (flat pair arrays, like the covering engine),
-and cell-center containment is resolved in one batch with the exact
+subsets down the quadtree with the covering engine's own clipped-edge
+steps (``covering.clip_edges`` and ``covering.split_clipped``), and
+cell-center containment is resolved in one batch with the exact
 point-polygon machinery (itself validated against the SQL oracle).
 """
 from __future__ import annotations
@@ -27,7 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import cellid
-from repro.geometry.polygon import PolygonSet, segments_cross, segments_intersect_rects
+from repro.core.covering import clip_edges, split_clipped
+from repro.geometry.polygon import PolygonSet, segments_cross
+
+#: Level of the uniform grid the adaptive split starts from.
+_START_LEVEL = 2
 
 
 @dataclass
@@ -139,92 +144,43 @@ def build_shapeindex(
     extent: float,
     max_edges_per_cell: int = 10,
     max_level: int = 14,
-    start_level: int = 2,
 ) -> ShapeIndex:
     """Adaptive grid: split cells while they hold > max_edges_per_cell edges."""
-    cells = cellid.cells_in_rect(0, 0, extent, extent, start_level, extent)
-    ex1, ey1 = pset.edge_x1, pset.edge_y1
-    ex2, ey2 = pset.edge_x2, pset.edge_y2
-    # Initial pairs: full product (few start cells).
-    x0, y0, x1, y1 = cellid.cell_bounds(cells, extent)
-    hit = segments_intersect_rects(
-        ex1[None, :], ey1[None, :], ex2[None, :], ey2[None, :],
-        x0[:, None], y0[:, None], x1[:, None], y1[:, None],
-    )
-    pair_cell, pair_edge = (a.astype(np.int64) for a in np.nonzero(hit))
-
+    cells = cellid.cells_in_rect(0, 0, extent, extent, _START_LEVEL, extent)
+    edges = (pset.edge_x1, pset.edge_y1, pset.edge_x2, pset.edge_y2)
+    pair_cell, pair_edge = clip_edges(cells, edges, extent)
     final_cells: list[np.ndarray] = []
-    final_pair_cell: list[np.ndarray] = []  # local index within this batch
+    final_pair_cell: list[np.ndarray] = []  # cell ids
     final_pair_edge: list[np.ndarray] = []
-    n_final = 0
-    level = start_level
-    while len(cells):
+    level = _START_LEVEL
+    while True:
         counts = np.bincount(pair_cell, minlength=len(cells))
         split_mask = (counts > max_edges_per_cell) & (level < max_level)
-        done = ~split_mask
-        if done.any():
-            keep_idx = np.flatnonzero(done)
-            remap = np.full(len(cells), -1, np.int64)
-            remap[keep_idx] = n_final + np.arange(len(keep_idx))
-            psel = done[pair_cell]
-            final_cells.append(cells[keep_idx])
-            final_pair_cell.append(remap[pair_cell[psel]])
-            final_pair_edge.append(pair_edge[psel])
-            n_final += len(keep_idx)
+        psel = ~split_mask[pair_cell]
+        final_cells.append(cells[~split_mask])
+        final_pair_cell.append(cells[pair_cell[psel]])
+        final_pair_edge.append(pair_edge[psel])
         split = np.flatnonzero(split_mask)
         if len(split) == 0:
             break
-        kids = cellid.children(cells[split]).reshape(-1)
-        # Parent pairs replicated for the 4 children, then filtered.
-        remap = np.full(len(cells), -1, np.int64)
-        remap[split] = np.arange(len(split))
-        psel = split_mask[pair_cell]
-        p_pos = remap[pair_cell[psel]]
-        p_edge = pair_edge[psel]
-        kid_idx = (p_pos[:, None] * 4 + np.arange(4)[None, :]).reshape(-1)
-        edge_idx = np.repeat(p_edge, 4)
-        kx0, ky0, kx1, ky1 = cellid.cell_bounds(kids, extent)
-        keep = segments_intersect_rects(
-            ex1[edge_idx], ey1[edge_idx], ex2[edge_idx], ey2[edge_idx],
-            kx0[kid_idx], ky0[kid_idx], kx1[kid_idx], ky1[kid_idx],
+        cells, _, _, pair_cell, pair_edge = split_clipped(
+            cells, split, pair_cell, pair_edge, edges, extent
         )
-        cells = kids
-        pair_cell = kid_idx[keep]
-        pair_edge = edge_idx[keep]
-        order = np.argsort(pair_cell, kind="stable")
-        pair_cell = pair_cell[order]
-        pair_edge = pair_edge[order]
         level += 1
 
-    ids = np.concatenate(final_cells) if final_cells else np.empty(0, np.int64)
-    pc = (
-        np.concatenate(final_pair_cell) if final_pair_cell else np.empty(0, np.int64)
-    )
-    pe = (
-        np.concatenate(final_pair_edge) if final_pair_edge else np.empty(0, np.int64)
-    )
-    order = np.argsort(ids)
-    rank = np.empty(len(ids), np.int64)
-    rank[order] = np.arange(len(ids))
-    ids = ids[order]
-    pc = rank[pc]
+    ids = np.sort(np.concatenate(final_cells))
+    pc = np.concatenate(final_pair_cell)
     po = np.argsort(pc, kind="stable")
-    pc, pe = pc[po], pe[po]
-    edge_offsets = np.zeros(len(ids) + 1, np.int64)
-    np.add.at(edge_offsets, pc + 1, 1)
-    np.cumsum(edge_offsets, out=edge_offsets)
-    edge_idx = pe
+    edge_idx = np.concatenate(final_pair_edge)[po]
+    edge_offsets = np.append(np.searchsorted(pc[po], ids), len(pc))
 
     x0, y0, x1, y1 = cellid.cell_bounds(ids, extent)
     cx0 = (x0 + x1) / 2
     cy0 = (y0 + y1) / 2
     cin_cell, cin_poly = _centers_containment(pset, extent, cx0, cy0)
     o = np.argsort(cin_cell, kind="stable")
-    cin_cell = cin_cell[o]
     cin_poly = cin_poly[o]
-    cin_offsets = np.zeros(len(ids) + 1, np.int64)
-    np.add.at(cin_offsets, cin_cell + 1, 1)
-    np.cumsum(cin_offsets, out=cin_offsets)
+    cin_offsets = np.searchsorted(cin_cell[o], np.arange(len(ids) + 1))
     return ShapeIndex(
         ids=ids,
         edge_offsets=edge_offsets,

@@ -10,8 +10,10 @@ Two covering styles, matching the paper's two join modes:
 
 * :func:`precision_covering` classifies space down to a fixed boundary
   level, producing a normalized partition: interior cells at adaptive
-  (coarse) levels, boundary cells exactly at ``boundary_level``. This is
-  the **approximate** join's precision-guaranteed covering (§3.2).
+  (coarse) levels, boundary cells at ``boundary_level``. This is the
+  **approximate** join's precision-guaranteed covering (§3.2).
+
+All three are one descent (``_walk``) with different stopping rules.
 
 Classification engine
 ---------------------
@@ -29,6 +31,10 @@ clipped-edge propagation:
   parent's edge subset (the segment stays inside the parent cell, so no
   other edge can cross it). Degenerate constellations (a zero orientation
   value) fall back to a full point-in-polygon test.
+
+The two clipped-edge steps, :func:`clip_edges` for the seed cells and
+:func:`split_clipped` for each split, are shared with the S2ShapeIndex
+analog (``baselines/shapeindex.py``).
 """
 from __future__ import annotations
 
@@ -48,6 +54,9 @@ OUTSIDE, BOUNDARY, INTERIOR = 0, 1, 2
 
 # Cap on the (cells x edges) pairwise matrices per chunk.
 _PAIR_CHUNK = 4_000_000
+
+# A descent starts from at most this many cells over the polygon's MBR.
+_MAX_SEED_CELLS = 8
 
 
 def classify_cells(ids: np.ndarray, poly: Polygon, extent: float) -> np.ndarray:
@@ -92,17 +101,59 @@ class _Frontier:
     pair_cell: np.ndarray  # int64[m] — index into cells (sorted)
     pair_edge: np.ndarray  # int64[m] — edge index
 
-    @property
-    def n(self) -> int:
-        return len(self.cells)
 
-    def classification(self) -> np.ndarray:
-        out = np.where(self.center_in, INTERIOR, OUTSIDE).astype(np.int8)
-        out[self.boundary] = BOUNDARY
-        return out
+def clip_edges(cells: np.ndarray, edges, extent: float) -> tuple[np.ndarray, np.ndarray]:
+    """(cell index, edge index) pairs of every edge intersecting a cell.
+
+    ``edges`` is ``(x1, y1, x2, y2)``. The test is the full cross product,
+    so ``cells`` are the few seed cells of a descent; :func:`split_clipped`
+    carries the pairs down from there.
+    """
+    ex1, ey1, ex2, ey2 = edges
+    x0, y0, x1, y1 = cellid.cell_bounds(cells, extent)
+    hit = segments_intersect_rects(
+        ex1[None, :], ey1[None, :], ex2[None, :], ey2[None, :],
+        x0[:, None], y0[:, None], x1[:, None], y1[:, None],
+    )
+    return tuple(a.astype(np.int64) for a in np.nonzero(hit))
 
 
-def _initial_frontier(poly: Polygon, extent: float, max_start: int = 8) -> _Frontier:
+def split_clipped(
+    cells: np.ndarray,
+    split: np.ndarray,
+    pair_cell: np.ndarray,
+    pair_edge: np.ndarray,
+    edges,
+    extent: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split ``cells[split]`` and carry their clipped edges down.
+
+    Returns ``(kids, cand_cell, cand_edge, pair_cell, pair_edge)``: the 4
+    children of each split cell (in order, so child ``k`` has parent
+    ``split[k // 4]``), every parent pair repeated for its 4 children
+    (indices into ``kids`` and ``edges``), and the subset of those whose
+    edge intersects the child, sorted by child. An edge can only meet a
+    child if it meets the parent, so no other edge is tested.
+    """
+    ex1, ey1, ex2, ey2 = edges
+    kids = cellid.children(cells[split]).reshape(-1)
+    pos = np.full(len(cells), -1, np.int64)
+    pos[split] = np.arange(len(split))
+    p_pos = pos[pair_cell]
+    sel = p_pos >= 0
+    cand_cell = (p_pos[sel, None] * 4 + np.arange(4)[None, :]).reshape(-1)
+    cand_edge = np.repeat(pair_edge[sel], 4)
+    kx0, ky0, kx1, ky1 = cellid.cell_bounds(kids, extent)
+    hit = segments_intersect_rects(
+        ex1[cand_edge], ey1[cand_edge], ex2[cand_edge], ey2[cand_edge],
+        kx0[cand_cell], ky0[cand_cell], kx1[cand_cell], ky1[cand_cell],
+    )
+    pair_cell, pair_edge = cand_cell[hit], cand_edge[hit]
+    order = np.argsort(pair_cell, kind="stable")
+    return kids, cand_cell, cand_edge, pair_cell[order], pair_edge[order]
+
+
+def _initial_frontier(poly: Polygon, extent: float) -> _Frontier:
     """Coarse seed cells covering the polygon's MBR, fully classified."""
     x0p, y0p, x1p, y1p = poly.mbr()
     span = max(x1p - x0p, y1p - y0p, 1e-9)
@@ -111,98 +162,53 @@ def _initial_frontier(poly: Polygon, extent: float, max_start: int = 8) -> _Fron
         level += 1
     while True:
         cells = cellid.cells_in_rect(x0p, y0p, x1p, y1p, level, extent)
-        if len(cells) <= max_start or level == 0:
+        if len(cells) <= _MAX_SEED_CELLS or level == 0:
             break
         level -= 1
-    ex1, ey1, ex2, ey2 = poly.edges()
+    edges = poly.edges()
+    pair_cell, pair_edge = clip_edges(cells, edges, extent)
     x0, y0, x1, y1 = cellid.cell_bounds(cells, extent)
-    hit = segments_intersect_rects(
-        ex1[None, :], ey1[None, :], ex2[None, :], ey2[None, :],
-        x0[:, None], y0[:, None], x1[:, None], y1[:, None],
-    )
-    pair_cell, pair_edge = np.nonzero(hit)
-    cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
-    center_in = point_in_polygon(cx, cy, ex1, ey1, ex2, ey2)
     return _Frontier(
         cells=cells,
         level=level,
-        center_in=center_in,
+        center_in=point_in_polygon((x0 + x1) / 2, (y0 + y1) / 2, *edges),
         boundary=np.bincount(pair_cell, minlength=len(cells)).astype(bool),
-        pair_cell=pair_cell.astype(np.int64),
-        pair_edge=pair_edge.astype(np.int64),
+        pair_cell=pair_cell,
+        pair_edge=pair_edge,
     )
 
 
 def _descend(f: _Frontier, split: np.ndarray, poly: Polygon, extent: float) -> _Frontier:
     """Split ``cells[split]`` into children and classify them hierarchically."""
-    ex1, ey1, ex2, ey2 = poly.edges()
-    kids = cellid.children(f.cells[split]).reshape(-1)  # 4 per parent
-    parent_of_kid = np.repeat(np.arange(len(split)), 4)  # index into split
+    edges = poly.edges()
+    ex1, ey1, ex2, ey2 = edges
+    kids, cand_cell, cand_edge, pair_cell, pair_edge = split_clipped(
+        f.cells, split, f.pair_cell, f.pair_edge, edges, extent
+    )
     kx0, ky0, kx1, ky1 = cellid.cell_bounds(kids, extent)
     kcx, kcy = (kx0 + kx1) / 2, (ky0 + ky1) / 2
     px0, py0, px1, py1 = cellid.cell_bounds(f.cells[split], extent)
     pcx, pcy = (px0 + px1) / 2, (py0 + py1) / 2
 
-    # Candidate pairs: each split parent's pairs, replicated for 4 children.
-    sel = np.isin(f.pair_cell, split)
-    p_cell = f.pair_cell[sel]
-    p_edge = f.pair_edge[sel]
-    # Remap parent's global cell index -> position within `split`.
-    remap = np.full(f.n, -1, np.int64)
-    remap[split] = np.arange(len(split))
-    p_pos = remap[p_cell]
-    # (pair, child) expansion: 4 children per parent pair.
-    kid_idx = (p_pos[:, None] * 4 + np.arange(4)[None, :]).reshape(-1)
-    edge_idx = np.repeat(p_edge, 4)
-
-    out_pairs_cell: list[np.ndarray] = []
-    out_pairs_edge: list[np.ndarray] = []
-    crossings = np.zeros(len(kids), np.int64)
-    suspect = np.zeros(len(kids), dtype=bool)
-    sx1, sy1, sx2, sy2 = ex1[edge_idx], ey1[edge_idx], ex2[edge_idx], ey2[edge_idx]
-    intersects = segments_intersect_rects(
-        sx1, sy1, sx2, sy2, kx0[kid_idx], ky0[kid_idx], kx1[kid_idx], ky1[kid_idx]
-    )
-    if intersects.any():
-        out_pairs_cell.append(kid_idx[intersects])
-        out_pairs_edge.append(edge_idx[intersects])
-
     # Center-status propagation: crossings of parent-center->child-center
     # with the parent's edges.
-    par_pair = np.repeat(p_pos, 4)
+    par = cand_cell // 4
     cr, dg = segments_cross(
-        pcx[par_pair],
-        pcy[par_pair],
-        kcx[kid_idx],
-        kcy[kid_idx],
-        sx1,
-        sy1,
-        sx2,
-        sy2,
+        pcx[par], pcy[par], kcx[cand_cell], kcy[cand_cell],
+        ex1[cand_edge], ey1[cand_edge], ex2[cand_edge], ey2[cand_edge],
     )
-    np.add.at(crossings, kid_idx, cr.astype(np.int64))
-    np.logical_or.at(suspect, kid_idx, dg)
-
-    center_in = f.center_in[split][parent_of_kid] ^ (crossings & 1).astype(bool)
-    if out_pairs_cell:
-        pair_cell = np.concatenate(out_pairs_cell)
-        pair_edge = np.concatenate(out_pairs_edge)
-        order = np.argsort(pair_cell, kind="stable")
-        pair_cell = pair_cell[order]
-        pair_edge = pair_edge[order]
-    else:
-        pair_cell = np.empty(0, np.int64)
-        pair_edge = np.empty(0, np.int64)
+    odd = np.bincount(cand_cell[cr], minlength=len(kids)) & 1
+    center_in = np.repeat(f.center_in[split], 4) ^ odd.astype(bool)
     boundary = np.zeros(len(kids), dtype=bool)
     boundary[pair_cell] = True
 
     # Degenerate propagation: recompute affected non-boundary children with
     # the exact full PIP test.
+    suspect = np.zeros(len(kids), dtype=bool)
+    suspect[cand_cell[dg]] = True
     redo = np.flatnonzero(suspect & ~boundary)
     if len(redo):
-        center_in[redo] = point_in_polygon(
-            kcx[redo], kcy[redo], ex1, ey1, ex2, ey2
-        )
+        center_in[redo] = point_in_polygon(kcx[redo], kcy[redo], *edges)
     return _Frontier(
         cells=kids,
         level=f.level + 1,
@@ -213,19 +219,35 @@ def _descend(f: _Frontier, split: np.ndarray, poly: Polygon, extent: float) -> _
     )
 
 
-def _subset_frontier(f: _Frontier, keep: np.ndarray) -> _Frontier:
-    """Restrict a frontier to ``cells[keep]`` (reindexing the pairs)."""
-    remap = np.full(f.n, -1, np.int64)
-    remap[keep] = np.arange(len(keep))
-    psel = remap[f.pair_cell] >= 0
-    return _Frontier(
-        cells=f.cells[keep],
-        level=f.level,
-        center_in=f.center_in[keep],
-        boundary=f.boundary[keep],
-        pair_cell=remap[f.pair_cell[psel]],
-        pair_edge=f.pair_edge[psel],
-    )
+def _walk(
+    poly: Polygon, extent: float, max_level: int, max_cells: float, keep_boundary: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one covering descent: ``(cell_ids, interior_flags)``.
+
+    Each level emits its interior cells. Boundary cells split until
+    ``level >= max_level`` or the next split could exceed ``max_cells``;
+    then they are emitted as candidates (``keep_boundary``) or dropped.
+    """
+    ids: list[np.ndarray] = []
+    n_interior = 0
+    f = _initial_frontier(poly, extent)
+    while True:
+        interior = ~f.boundary & f.center_in
+        ids.append(f.cells[interior])
+        n_interior += len(ids[-1])
+        n_boundary = int(f.boundary.sum())
+        if (
+            n_boundary == 0
+            or f.level >= max_level
+            or n_interior + 4 * n_boundary > max_cells
+        ):
+            break
+        f = _descend(f, np.flatnonzero(f.boundary), poly, extent)
+    flags = np.ones(n_interior, bool)
+    if keep_boundary:
+        ids.append(f.cells[f.boundary])
+        flags = np.append(flags, np.zeros(len(ids[-1]), bool))
+    return np.concatenate(ids), flags
 
 
 def precision_covering(
@@ -237,29 +259,11 @@ def precision_covering(
 
     Returns ``(cell_ids, interior_flags)``: interior cells at adaptive
     levels (coarse in the middle of the polygon, emitted as soon as a cell
-    is fully inside), boundary cells exactly at ``boundary_level`` so every
-    boundary cell diagonal is ``sqrt(2) * extent / 2**boundary_level``.
+    is fully inside), boundary cells at ``boundary_level``, or finer for a
+    polygon smaller than such a cell, so no boundary cell diagonal exceeds
+    ``sqrt(2) * extent / 2**boundary_level``.
     """
-    out_ids: list[np.ndarray] = []
-    out_int: list[np.ndarray] = []
-    f = _initial_frontier(poly, extent)
-    while f.n:
-        interior = ~f.boundary & f.center_in
-        if interior.any():
-            out_ids.append(f.cells[interior])
-            out_int.append(np.ones(int(interior.sum()), dtype=bool))
-        if f.level == boundary_level:
-            if f.boundary.any():
-                out_ids.append(f.cells[f.boundary])
-                out_int.append(np.zeros(int(f.boundary.sum()), dtype=bool))
-            break
-        split = np.flatnonzero(f.boundary)
-        if len(split) == 0:
-            break
-        f = _descend(f, split, poly, extent)
-    if not out_ids:
-        return np.empty(0, np.int64), np.empty(0, bool)
-    return np.concatenate(out_ids), np.concatenate(out_int)
+    return _walk(poly, extent, boundary_level, np.inf, keep_boundary=True)
 
 
 def budgeted_covering(
@@ -274,26 +278,7 @@ def budgeted_covering(
     covering); boundary cells refine while the budget allows, else are
     emitted coarse. Mirrors S2RegionCoverer's max_cells/max_level knobs.
     """
-    result: list[np.ndarray] = []
-    n_result = 0
-    f = _initial_frontier(poly, extent)
-    while f.n:
-        interior = ~f.boundary & f.center_in
-        if interior.any():
-            result.append(f.cells[interior])
-            n_result += int(interior.sum())
-        n_boundary = int(f.boundary.sum())
-        if f.level >= max_level or n_result + 4 * n_boundary > max_cells:
-            if n_boundary:
-                result.append(f.cells[f.boundary])
-            break
-        split = np.flatnonzero(f.boundary)
-        if len(split) == 0:
-            break
-        f = _descend(f, split, poly, extent)
-    if not result:
-        return np.empty(0, np.int64)
-    return np.concatenate(result)
+    return _walk(poly, extent, max_level, max_cells, keep_boundary=True)[0]
 
 
 def budgeted_interior_covering(
@@ -307,21 +292,4 @@ def budgeted_interior_covering(
     Boundary-intersecting cells refine while the budget allows and are
     *dropped* at the end — only fully-contained cells are emitted.
     """
-    result: list[np.ndarray] = []
-    n_result = 0
-    f = _initial_frontier(poly, extent)
-    while f.n:
-        interior = ~f.boundary & f.center_in
-        if interior.any():
-            result.append(f.cells[interior])
-            n_result += int(interior.sum())
-        n_boundary = int(f.boundary.sum())
-        if f.level >= max_level or n_result + 4 * n_boundary > max_cells:
-            break  # drop unresolved boundary cells: not provably inside
-        split = np.flatnonzero(f.boundary)
-        if len(split) == 0:
-            break
-        f = _descend(f, split, poly, extent)
-    if not result:
-        return np.empty(0, np.int64)
-    return np.concatenate(result)
+    return _walk(poly, extent, max_level, max_cells, keep_boundary=False)[0]

@@ -57,7 +57,7 @@ ACCURATE_COVERER_CFG = {
 class PolygonIndexBundle:
     """Picklable, broadcastable polygon index + refinement geometry."""
 
-    structure: str  # 'act' | 'act1' | 'act2' | 'act4' | 'lb' | 'btree'
+    structure: str  # 'act1' | 'act2' | 'act4' | 'lb' | 'btree'
     index: object  # probe_refs(point_ids) -> (row, poly, is_true)
     pset: PolygonSet
     extent: float
@@ -68,11 +68,12 @@ class PolygonIndexBundle:
 
 
 def _cover_polygon(
-    poly: Polygon, extent: float, mode: str, boundary_level: int | None, cfg: dict
+    poly: Polygon, extent: float, mode: str, boundary_level: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """One polygon's (cell ids, interior flags) for ``compute_coverings``."""
     if mode == "approx":
         return precision_covering(poly, extent, boundary_level)
+    cfg = ACCURATE_COVERER_CFG
     c = budgeted_covering(
         poly, extent, cfg["max_covering_cells"], cfg["max_covering_level"]
     )
@@ -90,20 +91,17 @@ def compute_coverings(
     extent: float,
     mode: str,
     precision_m: float | None = None,
-    coverer_cfg: dict | None = None,
     spark: SparkSession | None = None,
 ) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Per-polygon (covering, interior covering) cells.
 
     ``mode='approx'`` computes precision-partition coverings whose boundary
-    cells sit exactly at the level implied by ``precision_m``;
-    ``mode='accurate'`` computes the coarse budgeted S2-style coverings.
-    When ``spark`` is given, the per-polygon work is distributed (the paper
-    parallelizes this phase over polygons too).
+    cells sit at the level implied by ``precision_m``;
+    ``mode='accurate'`` computes the coarse budgeted S2-style coverings
+    (``ACCURATE_COVERER_CFG``). When ``spark`` is given, the per-polygon
+    work is distributed (the paper parallelizes this phase over polygons
+    too); either way the result has one entry per polygon, in id order.
     """
-    cfg = dict(ACCURATE_COVERER_CFG)
-    if coverer_cfg:
-        cfg.update(coverer_cfg)
     if mode == "approx":
         if precision_m is None:
             raise ValueError("approx mode needs a precision bound")
@@ -115,57 +113,27 @@ def compute_coverings(
 
     if spark is None:
         return [
-            (pid, *_cover_polygon(poly, extent, mode, boundary_level, cfg))
+            (pid, *_cover_polygon(poly, extent, mode, boundary_level))
             for pid, poly in enumerate(pset.polygons)
         ]
-
-    # Distributed covering build: one task batch per partition of poly ids.
-    bc = spark.sparkContext.broadcast((pset, extent, mode, boundary_level, cfg))
-
-    def kernel(batches):
-        pset_b, extent_b, mode_b, blevel_b, cfg_b = bc.value
-        for pdf in batches:
-            out = []
-            for pid in pdf["poly_id"].to_numpy():
-                ids, flags = _cover_polygon(
-                    pset_b.polygons[int(pid)], extent_b, mode_b, blevel_b, cfg_b
-                )
-                out.append(
-                    pd.DataFrame(
-                        {
-                            "poly_id": np.full(len(ids), int(pid), np.int64),
-                            "cell_id": ids,
-                            "interior": flags,
-                        }
-                    )
-                )
-            yield pd.concat(out) if out else pd.DataFrame(
-                {"poly_id": [], "cell_id": [], "interior": []}
-            )
-
-    ids_df = spark.createDataFrame(
-        pd.DataFrame({"poly_id": np.arange(len(pset), dtype=np.int64)})
-    ).repartition(min(len(pset), spark.sparkContext.defaultParallelism * 2))
-    rows = ids_df.mapInPandas(
-        kernel, schema="poly_id long, cell_id long, interior boolean"
-    ).toPandas()
-    out = []
-    for pid, grp in rows.groupby("poly_id", sort=True):
-        out.append(
-            (
-                int(pid),
-                grp["cell_id"].to_numpy(np.int64),
-                grp["interior"].to_numpy(bool),
+    sc = spark.sparkContext
+    bc = sc.broadcast(pset)
+    return (
+        sc.parallelize(range(len(pset)), sc.defaultParallelism * 2)
+        .map(
+            lambda pid: (
+                pid,
+                *_cover_polygon(bc.value.polygons[pid], extent, mode, boundary_level),
             )
         )
-    return out
+        .collect()
+    )
 
 
 _STRUCTURES = {
     "act1": lambda sc: build_act(sc, 1),
     "act2": lambda sc: build_act(sc, 2),
     "act4": lambda sc: build_act(sc, 4),
-    "act": lambda sc: build_act(sc, 4),
     "lb": build_sorted_vector,
     "btree": build_btree,
 }
@@ -176,8 +144,7 @@ def build_index(
     extent: float,
     mode: str = "approx",
     precision_m: float | None = 4.0,
-    structure: str = "act",
-    coverer_cfg: dict | None = None,
+    structure: str = "act4",
     spark: SparkSession | None = None,
     supercov: SuperCovering | None = None,
 ) -> PolygonIndexBundle:
@@ -189,7 +156,7 @@ def build_index(
     times: dict[str, float] = {}
     if supercov is None:
         t0 = time.perf_counter()
-        covs = compute_coverings(pset, extent, mode, precision_m, coverer_cfg, spark)
+        covs = compute_coverings(pset, extent, mode, precision_m, spark)
         times["coverings"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         supercov = merge_coverings(covs, extent)

@@ -15,6 +15,10 @@ from repro.core import cellid
 from repro.core.join import build_index, compute_coverings
 from repro.core.supercovering import SuperCovering, merge_coverings
 
+#: Probe structures of Tables 2, 3 and 5: the paper's name -> the
+#: ``build_index`` structure name.
+STRUCTURES = {"ACT1": "act1", "ACT2": "act2", "ACT4": "act4", "GBT": "btree", "LB": "lb"}
+
 #: The paper's precision sweep in meters (Tables 1, Figure 7-middle).
 PRECISIONS_M = (60.0, 15.0, 4.0)
 

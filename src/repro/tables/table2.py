@@ -6,15 +6,10 @@ ACT4 / GBT / LB on the 4 m super coverings of the three polygon datasets.
 """
 from __future__ import annotations
 
-import time
-
-from repro.baselines.btree import build_btree
-from repro.baselines.sorted_vector import build_sorted_vector
-from repro.core.act import build_act
 from repro.tables import emit, format_rows
 from repro.tables import datasets as ds
 
-STRUCTURES = ("ACT1", "ACT2", "ACT4", "GBT", "LB")
+STRUCTURES = tuple(ds.STRUCTURES)
 
 #: Paper Table 2: {(dataset, structure): (size_MiB, build_s)}.
 PAPER = {
@@ -36,28 +31,20 @@ PAPER = {
 }
 
 
-def _build(structure: str, sc):
-    if structure.startswith("ACT"):
-        return build_act(sc, int(structure[3]))
-    if structure == "GBT":
-        return build_btree(sc)
-    return build_sorted_vector(sc)
-
-
 def run(spark=None, scale: str = "test", precision_m: float = 4.0) -> list[dict]:
     rows = []
     for name in ("boroughs", "neighborhoods", "census"):
-        sc, _ = ds.supercovering(name, scale, "approx", precision_m, spark=spark)
         for structure in STRUCTURES:
-            t0 = time.perf_counter()
-            idx = _build(structure, sc)
-            bt = time.perf_counter() - t0
+            bundle = ds.index(
+                name, scale, ds.STRUCTURES[structure], "approx", precision_m, spark
+            )
+            bt = bundle.build_seconds["structure"]
             rows.append(
                 {
                     "dataset": name,
                     "index": structure,
-                    "cells": sc.n_cells,
-                    "size_MiB": round(idx.nbytes() / 2**20, 2),
+                    "cells": bundle.n_cells,
+                    "size_MiB": round(bundle.index.nbytes() / 2**20, 2),
                     "build_s": "-" if structure == "LB" else round(bt, 3),
                 }
             )

@@ -13,8 +13,7 @@ from repro.perf.counters import interleaved_seconds
 from repro.tables import emit, format_rows
 from repro.tables import datasets as ds
 
-STRUCTURES = ("ACT1", "ACT2", "ACT4", "GBT", "LB")
-_BUNDLE_NAME = {"ACT1": "act1", "ACT2": "act2", "ACT4": "act4", "GBT": "btree", "LB": "lb"}
+STRUCTURES = tuple(ds.STRUCTURES)
 DATASETS = ("boroughs", "neighborhoods", "census")
 
 #: Paper Table 3: {structure: (b_over_n, b_over_c, n_over_c)}.
@@ -42,7 +41,7 @@ def throughputs(
     out = {}
     for structure in STRUCTURES:
         indexes = [
-            ds.index(name, scale, _BUNDLE_NAME[structure], "approx", precision_m, spark).index
+            ds.index(name, scale, ds.STRUCTURES[structure], "approx", precision_m, spark).index
             for name in DATASETS
         ]
         seconds, _ = interleaved_seconds(

@@ -13,8 +13,7 @@ from repro.perf.counters import measure_probe
 from repro.tables import emit, format_rows
 from repro.tables import datasets as ds
 
-STRUCTURES = ("ACT1", "ACT2", "ACT4", "GBT", "LB")
-_BUNDLE_NAME = {"ACT1": "act1", "ACT2": "act2", "ACT4": "act4", "GBT": "btree", "LB": "lb"}
+STRUCTURES = tuple(ds.STRUCTURES)
 
 #: Paper Table 5: {(points, structure): (cycles, instructions,
 #: branch_misses, cache_misses)} per point.
@@ -43,7 +42,7 @@ def run(
         _px, _py, pt = ds.point_cells(kind, scale)
         for structure in STRUCTURES:
             bundle = ds.index(
-                dataset, scale, _BUNDLE_NAME[structure], "approx", precision_m, spark
+                dataset, scale, ds.STRUCTURES[structure], "approx", precision_m, spark
             )
             c = measure_probe(structure, bundle.index, pt)
             row = {"points": kind}

@@ -3,10 +3,13 @@
 The hierarchical descent (edge-subset propagation + center-parity
 transport) must classify cells exactly like the brute-force
 ``classify_cells``; these tests pin that equivalence on complex (fractal
-boroughs) and simple (census) polygons.
+boroughs) and simple (census) polygons, and on random triangles down to
+ones smaller than a boundary cell, for which the descent must still stop.
 """
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import synth_data as sd
 from repro.core import cellid
@@ -17,6 +20,13 @@ from repro.core.covering import (
     budgeted_interior_covering,
     classify_cells,
     precision_covering,
+)
+from repro.core.join import build_index, probe_batch
+from repro.geometry.polygon import (
+    Polygon,
+    PolygonSet,
+    point_in_polygon_set,
+    point_to_polygon_distance,
 )
 
 
@@ -75,3 +85,47 @@ def test_fractal_polygon_complete_covering():
     ok |= (i > 0) & (cellid.range_max(s[np.maximum(i - 1, 0)]) >= pt)
     ok |= (i < len(s)) & (cellid.range_min(s[np.minimum(i, len(s) - 1)]) <= pt)
     assert ok.all()
+
+
+@st.composite
+def triangles(draw):
+    """Random triangles from 10 cm to 200 m across, many of them smaller
+    than one boundary cell."""
+    size = draw(st.floats(0.1, 200.0))
+    x0 = draw(st.floats(0.0, sd.EXTENT - size))
+    y0 = draw(st.floats(0.0, sd.EXTENT - size))
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6)))
+    poly = Polygon(x0 + size * u[:3], y0 + size * u[3:])
+    assume(abs(poly.area()) > 1e-3 * size * size)
+    return poly
+
+
+@given(triangles(), st.sampled_from([8, 10, 12]))
+@settings(max_examples=60, deadline=None)
+def test_precision_covering_of_small_polygons(poly, level):
+    """The descent stops for polygons whose seed cells are already finer
+    than the boundary level, and classifies like the reference."""
+    ids, flags = precision_covering(poly, sd.EXTENT, level)
+    levels = cellid.level_of(ids[~flags])
+    assert len(levels) and levels.min() >= level and levels.max() <= cellid.MAX_LEVEL
+    cls = classify_cells(ids, poly, sd.EXTENT)
+    assert np.all(cls[flags] == INTERIOR)
+    assert np.all(cls[~flags] == BOUNDARY)
+
+
+def test_approx_join_on_one_meter_triangle():
+    """A polygon smaller than a 4 m boundary cell: the approximate join
+    still returns every true pair, and false positives stay within 4 m."""
+    x0, y0 = 4000.3, 5000.7
+    pset = PolygonSet([Polygon(np.array([x0, x0 + 1.0, x0]), np.array([y0, y0, y0 + 1.0]))])
+    bundle = build_index(pset, sd.EXTENT, mode="approx", precision_m=4.0)
+    g = np.random.default_rng(3)
+    px = x0 + g.uniform(-8.0, 9.0, 20_000)
+    py = y0 + g.uniform(-8.0, 9.0, 20_000)
+    rows, polys, _true, _stats = probe_batch(bundle, px, py, exact=False)
+    got = set(zip(rows.tolist(), polys.tolist()))
+    ti, tp = point_in_polygon_set(px, py, pset)
+    truth = set(zip(ti.tolist(), tp.tolist()))
+    assert truth and truth <= got
+    fp = np.array(sorted(p for p, _ in got - truth), np.int64)
+    assert np.all(point_to_polygon_distance(px[fp], py[fp], pset.polygons[0]) <= 4.0)

@@ -311,11 +311,8 @@ class TestDistributedBuild:
             assert len(a) == len(b) == len(neigh)
             for (pa, ca, fa), (pb, cb, fb) in zip(a, b):
                 assert pa == pb
-                # Accurate coverings may hold a cell twice (covering and
-                # interior covering), so order by (cell, flag).
-                oa, ob = np.lexsort((fa, ca)), np.lexsort((fb, cb))
-                np.testing.assert_array_equal(ca[oa], cb[ob])
-                np.testing.assert_array_equal(fa[oa], fb[ob])
+                np.testing.assert_array_equal(ca, cb)
+                np.testing.assert_array_equal(fa, fb)
 
     def test_spark_built_index_joins_correctly(self, spark, neigh, points_pdf, points_sdf):
         b = build_index(
