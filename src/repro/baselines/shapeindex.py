@@ -17,9 +17,9 @@ of ACT's fine-grained true/candidate classification — is preserved).
 
 Build is vectorized: frontier cells propagate their intersecting-edge
 subsets down the quadtree with the covering engine's own clipped-edge
-steps (``covering.clip_edges`` and ``covering.split_clipped``), and
-cell-center containment is resolved in one batch with the exact
-point-polygon machinery (itself validated against the SQL oracle).
+split (``covering.split_clipped``), and cell-center containment is
+resolved in one batch with the exact point-polygon machinery (itself
+validated against the SQL oracle).
 """
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import cellid
-from repro.core.covering import clip_edges, split_clipped
-from repro.geometry.polygon import PolygonSet, segments_cross
+from repro.core.covering import split_clipped
+from repro.geometry.polygon import PolygonSet, segments_cross, segments_intersect_rects
 
 #: Level of the uniform grid the adaptive split starts from.
 _START_LEVEL = 2
@@ -139,6 +139,22 @@ def _centers_containment(
     return rows, polys.astype(np.int64)
 
 
+def _clip_edges(cells: np.ndarray, edges, extent: float) -> tuple[np.ndarray, np.ndarray]:
+    """(cell index, edge index) pairs of every edge intersecting a cell.
+
+    ``edges`` is ``(x1, y1, x2, y2)``. The test is the full cross product,
+    so ``cells`` are the few cells of the start grid; ``split_clipped``
+    carries the pairs down from there.
+    """
+    ex1, ey1, ex2, ey2 = edges
+    x0, y0, x1, y1 = cellid.cell_bounds(cells, extent)
+    hit = segments_intersect_rects(
+        ex1[None, :], ey1[None, :], ex2[None, :], ey2[None, :],
+        x0[:, None], y0[:, None], x1[:, None], y1[:, None],
+    )
+    return tuple(a.astype(np.int64) for a in np.nonzero(hit))
+
+
 def build_shapeindex(
     pset: PolygonSet,
     extent: float,
@@ -148,7 +164,7 @@ def build_shapeindex(
     """Adaptive grid: split cells while they hold > max_edges_per_cell edges."""
     cells = cellid.cells_in_rect(0, 0, extent, extent, _START_LEVEL, extent)
     edges = (pset.edge_x1, pset.edge_y1, pset.edge_x2, pset.edge_y2)
-    pair_cell, pair_edge = clip_edges(cells, edges, extent)
+    pair_cell, pair_edge = _clip_edges(cells, edges, extent)
     final_cells: list[np.ndarray] = []
     final_pair_cell: list[np.ndarray] = []  # cell ids
     final_pair_edge: list[np.ndarray] = []

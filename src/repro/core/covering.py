@@ -1,4 +1,4 @@
-"""Per-polygon quadtree coverings (substitute for ``S2RegionCoverer``).
+"""Quadtree coverings of polygons (substitute for ``S2RegionCoverer``).
 
 Two covering styles, matching the paper's two join modes:
 
@@ -13,7 +13,12 @@ Two covering styles, matching the paper's two join modes:
   (coarse) levels, boundary cells at ``boundary_level``. This is the
   **approximate** join's precision-guaranteed covering (§3.2).
 
-All three are one descent (``_walk``) with different stopping rules.
+All of them come from one descent, :func:`cover_polygons`, with different
+stopping rules. It walks the frontiers of many *covering jobs* (a polygon
+and a stopping rule) together, one quadtree level per step, so the cost of
+a step is paid once per dataset rather than once per polygon (the paper
+parallelizes this phase over polygons). The per-polygon functions are that
+walk over a one-polygon set.
 
 Classification engine
 ---------------------
@@ -23,17 +28,17 @@ center. To stay tractable on complex polygons (the fractal boroughs have
 thousands of edges), the descent is hierarchical, like S2ShapeIndex's
 clipped-edge propagation:
 
-* each frontier cell carries the subset of edges intersecting it, so a
-  child only tests its parent's edges (near the boundary that is O(1)
-  edges, not O(all edges));
+* each frontier cell carries the subset of its polygon's edges intersecting
+  it (as ids into ``PolygonSet``'s flattened edge arrays), so a child only
+  tests its parent's edges (near the boundary that is O(1) edges, not
+  O(all edges));
 * a child's center-inside flag is derived from the parent's by counting
   crossings of the segment parent-center -> child-center against the
   parent's edge subset (the segment stays inside the parent cell, so no
   other edge can cross it). Degenerate constellations (a zero orientation
   value) fall back to a full point-in-polygon test.
 
-The two clipped-edge steps, :func:`clip_edges` for the seed cells and
-:func:`split_clipped` for each split, are shared with the S2ShapeIndex
+The split step, :func:`split_clipped`, is shared with the S2ShapeIndex
 analog (``baselines/shapeindex.py``).
 """
 from __future__ import annotations
@@ -45,77 +50,137 @@ import numpy as np
 from repro.core import cellid
 from repro.geometry.polygon import (
     Polygon,
-    point_in_polygon,
+    PolygonSet,
+    ray_crossings,
     segments_cross,
     segments_intersect_rects,
 )
 
 OUTSIDE, BOUNDARY, INTERIOR = 0, 1, 2
 
-# Cap on the (cells x edges) pairwise matrices per chunk.
-_PAIR_CHUNK = 4_000_000
+# (cell, edge) pairs tested per chunk: small enough that a chunk's
+# temporaries stay in a core's L2 cache, however many cells and polygons
+# one pass covers.
+_PAIR_CHUNK = 65_536
 
 # A descent starts from at most this many cells over the polygon's MBR.
 _MAX_SEED_CELLS = 8
 
 
-def classify_cells(ids: np.ndarray, poly: Polygon, extent: float) -> np.ndarray:
-    """Classify each cell as OUTSIDE / BOUNDARY / INTERIOR wrt ``poly``.
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + c)`` for each ``(s, c)``."""
+    ends = np.cumsum(counts, dtype=np.int64)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.int64) - np.repeat(ends - counts - starts, counts)
 
-    Exact but non-hierarchical (tests all edges); used for small batches
-    (training refines 4 children at a time) and as the test reference for
-    the hierarchical engine.
+
+def _chunks(counts: np.ndarray, limit: int):
+    """Yield ``(lo, hi)``: consecutive row ranges whose ``counts`` sum to at
+    most ``limit`` (or one row that alone exceeds it)."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + limit, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+def _edge_chunks(polys: np.ndarray, pset: PolygonSet):
+    """Yield ``(lo, hi, row, edge)``: rows ``lo:hi`` each joined to every
+    edge of its polygon ``polys[row]``, ordered by row, about
+    ``_PAIR_CHUNK`` pairs per chunk."""
+    counts = np.diff(pset.edge_offsets)[polys]
+    for lo, hi in _chunks(counts, _PAIR_CHUNK):
+        c = counts[lo:hi]
+        yield lo, hi, np.repeat(np.arange(lo, hi), c), _ranges(
+            pset.edge_offsets[polys[lo:hi]], c
+        )
+
+
+def _clip_to_polygons(
+    cells: np.ndarray, polys: np.ndarray, pset: PolygonSet, extent: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, edge) pairs of every edge of polygon ``polys[row]`` that
+    intersects ``cells[row]``, ordered by row."""
+    x0, y0, x1, y1 = cellid.cell_bounds(cells, extent)
+    ex1, ey1, ex2, ey2 = pset.edge_x1, pset.edge_y1, pset.edge_x2, pset.edge_y2
+    lox, hix = np.minimum(ex1, ex2), np.maximum(ex1, ex2)
+    loy, hiy = np.minimum(ey1, ey2), np.maximum(ey1, ey2)
+    rows, edges = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for _, _, row, e in _edge_chunks(polys, pset):
+        # Most of a polygon's edges are far from a cell: a bounding-box
+        # test rules them out before the exact one.
+        near = (
+            (lox[e] <= x1[row]) & (hix[e] >= x0[row])
+            & (loy[e] <= y1[row]) & (hiy[e] >= y0[row])
+        )
+        row, e = row[near], e[near]
+        hit = segments_intersect_rects(
+            ex1[e], ey1[e], ex2[e], ey2[e], x0[row], y0[row], x1[row], y1[row]
+        )
+        rows.append(row[hit])
+        edges.append(e[hit])
+    return np.concatenate(rows), np.concatenate(edges)
+
+
+def _centers_inside(
+    cells: np.ndarray, polys: np.ndarray, pset: PolygonSet, extent: float
+) -> np.ndarray:
+    """Whether each cell's center lies inside its polygon ``polys[row]``
+    (the crossing-number test of ``point_in_polygon``)."""
+    x0, y0, x1, y1 = cellid.cell_bounds(cells, extent)
+    cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
+    ex1, ey1, ex2, ey2 = pset.edge_x1, pset.edge_y1, pset.edge_x2, pset.edge_y2
+    crossings = np.zeros(len(cells), np.int64)
+    for lo, hi, row, e in _edge_chunks(polys, pset):
+        # Only edges that straddle the center's horizontal line can cross.
+        ys = cy[row]
+        near = (ey1[e] > ys) != (ey2[e] > ys)
+        row, e = row[near], e[near]
+        cr = ray_crossings(cx[row], cy[row], ex1[e], ey1[e], ex2[e], ey2[e])
+        crossings[lo:hi] += np.bincount(row[cr] - lo, minlength=hi - lo)
+    return (crossings & 1).astype(bool)
+
+
+def classify_pairs(
+    ids: np.ndarray, polys: np.ndarray, pset: PolygonSet, extent: float
+) -> np.ndarray:
+    """Classify each cell ``ids[i]`` as OUTSIDE / BOUNDARY / INTERIOR wrt
+    polygon ``polys[i]`` of ``pset``.
+
+    Exact but non-hierarchical (tests every edge of the polygon); used for
+    small batches (training refines the 4 children of a cell per
+    referenced polygon) and as the test reference for the hierarchical
+    engine. All pairs are classified in one pass, whatever their polygons.
     """
     ids = np.asarray(ids, np.int64)
-    out = np.empty(len(ids), np.int8)
-    if len(ids) == 0:
-        return out
-    x0, y0, x1, y1 = cellid.cell_bounds(ids, extent)
-    ex1, ey1, ex2, ey2 = poly.edges()
-    n_e = len(ex1)
-    step = max(1, _PAIR_CHUNK // max(1, n_e))
+    polys = np.asarray(polys, np.int64)
     boundary = np.zeros(len(ids), dtype=bool)
-    for s in range(0, len(ids), step):
-        sl = slice(s, s + step)
-        boundary[sl] = segments_intersect_rects(
-            ex1[None, :], ey1[None, :], ex2[None, :], ey2[None, :],
-            x0[sl, None], y0[sl, None], x1[sl, None], y1[sl, None],
-        ).any(axis=1)
+    boundary[_clip_to_polygons(ids, polys, pset, extent)[0]] = True
     rest = np.flatnonzero(~boundary)
-    cx = (x0[rest] + x1[rest]) / 2.0
-    cy = (y0[rest] + y1[rest]) / 2.0
-    inside = point_in_polygon(cx, cy, ex1, ey1, ex2, ey2)
-    out[boundary] = BOUNDARY
+    out = np.full(len(ids), BOUNDARY, np.int8)
+    inside = _centers_inside(ids[rest], polys[rest], pset, extent)
     out[rest] = np.where(inside, INTERIOR, OUTSIDE)
     return out
 
 
+def classify_cells(ids: np.ndarray, poly: Polygon, extent: float) -> np.ndarray:
+    """:func:`classify_pairs` of every cell against one polygon."""
+    ids = np.asarray(ids, np.int64)
+    return classify_pairs(ids, np.zeros(len(ids), np.int64), PolygonSet([poly]), extent)
+
+
 @dataclass
 class _Frontier:
-    """One quadtree level of the hierarchical classifier."""
+    """One step of the hierarchical classifier: one level per job."""
 
-    cells: np.ndarray  # int64[n], all at the same level
-    level: int
+    cells: np.ndarray  # int64[n], grouped by job
+    job: np.ndarray  # int64[n] — covering job of each cell
     center_in: np.ndarray  # bool[n]
     boundary: np.ndarray  # bool[n] — has >=1 intersecting edge
     pair_cell: np.ndarray  # int64[m] — index into cells (sorted)
-    pair_edge: np.ndarray  # int64[m] — edge index
-
-
-def clip_edges(cells: np.ndarray, edges, extent: float) -> tuple[np.ndarray, np.ndarray]:
-    """(cell index, edge index) pairs of every edge intersecting a cell.
-
-    ``edges`` is ``(x1, y1, x2, y2)``. The test is the full cross product,
-    so ``cells`` are the few seed cells of a descent; :func:`split_clipped`
-    carries the pairs down from there.
-    """
-    ex1, ey1, ex2, ey2 = edges
-    x0, y0, x1, y1 = cellid.cell_bounds(cells, extent)
-    hit = segments_intersect_rects(
-        ex1[None, :], ey1[None, :], ex2[None, :], ey2[None, :],
-        x0[:, None], y0[:, None], x1[:, None], y1[:, None],
-    )
-    return tuple(a.astype(np.int64) for a in np.nonzero(hit))
+    pair_edge: np.ndarray  # int64[m] — index into the PolygonSet's edges
 
 
 def split_clipped(
@@ -153,9 +218,9 @@ def split_clipped(
     return kids, cand_cell, cand_edge, pair_cell[order], pair_edge[order]
 
 
-def _initial_frontier(poly: Polygon, extent: float) -> _Frontier:
-    """Coarse seed cells covering the polygon's MBR, fully classified."""
-    x0p, y0p, x1p, y1p = poly.mbr()
+def _seed_cells(mbr: np.ndarray, extent: float) -> tuple[np.ndarray, int]:
+    """Coarse seed cells covering an MBR, and their level."""
+    x0p, y0p, x1p, y1p = (float(v) for v in mbr)
     span = max(x1p - x0p, y1p - y0p, 1e-9)
     level = 0
     while level < cellid.MAX_LEVEL and extent / (1 << (level + 1)) >= span / 2:
@@ -163,24 +228,73 @@ def _initial_frontier(poly: Polygon, extent: float) -> _Frontier:
     while True:
         cells = cellid.cells_in_rect(x0p, y0p, x1p, y1p, level, extent)
         if len(cells) <= _MAX_SEED_CELLS or level == 0:
-            break
+            return cells, level
         level -= 1
-    edges = poly.edges()
-    pair_cell, pair_edge = clip_edges(cells, edges, extent)
-    x0, y0, x1, y1 = cellid.cell_bounds(cells, extent)
+
+
+def _seed_frontier(
+    pset: PolygonSet, polys: np.ndarray, extent: float
+) -> tuple[_Frontier, np.ndarray]:
+    """Every job's classified seed cells, and each job's seed level.
+
+    The seeds are clipped and classified once per distinct polygon; jobs
+    on the same polygon start from copies of them.
+    """
+    uniq, inv = np.unique(polys, return_inverse=True)
+    seeds = [_seed_cells(pset.mbrs[p], extent) for p in uniq]
+    counts = np.array([len(c) for c, _ in seeds], np.int64)
+    cells = np.concatenate([np.empty(0, np.int64)] + [c for c, _ in seeds])
+    cell_poly = np.repeat(uniq, counts)
+    pair_cell, pair_edge = _clip_to_polygons(cells, cell_poly, pset, extent)
+    center_in = _centers_inside(cells, cell_poly, pset, extent)
+    n_pairs = np.bincount(pair_cell, minlength=len(cells))
+    rows = _ranges(np.cumsum(counts)[inv] - counts[inv], counts[inv])
+    frontier = _Frontier(
+        cells=cells[rows],
+        job=np.repeat(np.arange(len(polys)), counts[inv]),
+        center_in=center_in[rows],
+        boundary=n_pairs[rows] > 0,
+        pair_cell=np.repeat(np.arange(len(rows)), n_pairs[rows]),
+        pair_edge=pair_edge[_ranges(np.cumsum(n_pairs)[rows] - n_pairs[rows], n_pairs[rows])],
+    )
+    return frontier, np.array([lv for _, lv in seeds], np.int64)[inv]
+
+
+def _descend(
+    f: _Frontier, split: np.ndarray, polys: np.ndarray, pset: PolygonSet, extent: float
+) -> _Frontier:
+    """Split ``cells[split]`` into children and classify them hierarchically,
+    in chunks of about ``_PAIR_CHUNK`` candidate (child, edge) pairs."""
+    lo = np.searchsorted(f.pair_cell, split, side="left")
+    hi = np.searchsorted(f.pair_cell, split, side="right")
+    parts = []
+    for a, b in _chunks(hi - lo, _PAIR_CHUNK // 4):
+        c0, c1, p0, p1 = split[a], split[b - 1] + 1, lo[a], hi[b - 1]
+        sub = _Frontier(
+            cells=f.cells[c0:c1],
+            job=f.job[c0:c1],
+            center_in=f.center_in[c0:c1],
+            boundary=f.boundary[c0:c1],
+            pair_cell=f.pair_cell[p0:p1] - c0,
+            pair_edge=f.pair_edge[p0:p1],
+        )
+        parts.append(_descend_chunk(sub, split[a:b] - c0, polys, pset, extent))
+    offsets = np.cumsum([0] + [len(p.cells) for p in parts[:-1]])
     return _Frontier(
-        cells=cells,
-        level=level,
-        center_in=point_in_polygon((x0 + x1) / 2, (y0 + y1) / 2, *edges),
-        boundary=np.bincount(pair_cell, minlength=len(cells)).astype(bool),
-        pair_cell=pair_cell,
-        pair_edge=pair_edge,
+        cells=np.concatenate([p.cells for p in parts]),
+        job=np.concatenate([p.job for p in parts]),
+        center_in=np.concatenate([p.center_in for p in parts]),
+        boundary=np.concatenate([p.boundary for p in parts]),
+        pair_cell=np.concatenate([p.pair_cell + o for p, o in zip(parts, offsets)]),
+        pair_edge=np.concatenate([p.pair_edge for p in parts]),
     )
 
 
-def _descend(f: _Frontier, split: np.ndarray, poly: Polygon, extent: float) -> _Frontier:
-    """Split ``cells[split]`` into children and classify them hierarchically."""
-    edges = poly.edges()
+def _descend_chunk(
+    f: _Frontier, split: np.ndarray, polys: np.ndarray, pset: PolygonSet, extent: float
+) -> _Frontier:
+    """One chunk of :func:`_descend`."""
+    edges = (pset.edge_x1, pset.edge_y1, pset.edge_x2, pset.edge_y2)
     ex1, ey1, ex2, ey2 = edges
     kids, cand_cell, cand_edge, pair_cell, pair_edge = split_clipped(
         f.cells, split, f.pair_cell, f.pair_edge, edges, extent
@@ -201,6 +315,7 @@ def _descend(f: _Frontier, split: np.ndarray, poly: Polygon, extent: float) -> _
     center_in = np.repeat(f.center_in[split], 4) ^ odd.astype(bool)
     boundary = np.zeros(len(kids), dtype=bool)
     boundary[pair_cell] = True
+    job = np.repeat(f.job[split], 4)
 
     # Degenerate propagation: recompute affected non-boundary children with
     # the exact full PIP test.
@@ -208,10 +323,10 @@ def _descend(f: _Frontier, split: np.ndarray, poly: Polygon, extent: float) -> _
     suspect[cand_cell[dg]] = True
     redo = np.flatnonzero(suspect & ~boundary)
     if len(redo):
-        center_in[redo] = point_in_polygon(kcx[redo], kcy[redo], *edges)
+        center_in[redo] = _centers_inside(kids[redo], polys[job[redo]], pset, extent)
     return _Frontier(
         cells=kids,
-        level=f.level + 1,
+        job=job,
         center_in=center_in,
         boundary=boundary,
         pair_cell=pair_cell,
@@ -219,35 +334,69 @@ def _descend(f: _Frontier, split: np.ndarray, poly: Polygon, extent: float) -> _
     )
 
 
-def _walk(
-    poly: Polygon, extent: float, max_level: int, max_cells: float, keep_boundary: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The one covering descent: ``(cell_ids, interior_flags)``.
+def cover_polygons(
+    pset: PolygonSet,
+    polys,
+    extent: float,
+    max_level,
+    max_cells,
+    keep_boundary,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one covering descent, over many jobs at once.
 
-    Each level emits its interior cells. Boundary cells split until
-    ``level >= max_level`` or the next split could exceed ``max_cells``;
-    then they are emitted as candidates (``keep_boundary``) or dropped.
+    Job ``j`` covers ``pset.polygons[polys[j]]`` with its own stopping rule
+    ``max_level[j]``, ``max_cells[j]`` and ``keep_boundary[j]`` (a scalar
+    applies to every job). Each level emits a job's interior cells. Its
+    boundary cells split until ``level >= max_level`` or the next split
+    could exceed ``max_cells`` (interior cells so far plus 4 per boundary
+    cell); then they are emitted as candidates (``keep_boundary``) or
+    dropped. All jobs descend together, one level per step.
+
+    Returns ``(cell_ids, interior_flags, offsets)``: job ``j``'s covering
+    is ``cell_ids[offsets[j]:offsets[j + 1]]``, its interior cells level by
+    level and then its boundary cells, whatever other jobs run with it.
     """
-    ids: list[np.ndarray] = []
-    n_interior = 0
-    f = _initial_frontier(poly, extent)
+    polys = np.asarray(polys, np.int64)
+    n = len(polys)
+    max_level = np.broadcast_to(max_level, n)
+    max_cells = np.broadcast_to(np.asarray(max_cells, np.float64), n)
+    keep_boundary = np.broadcast_to(keep_boundary, n)
+    f, level = _seed_frontier(pset, polys, extent)
+    n_interior = np.zeros(n, np.int64)
+    out_cells, out_job, out_flag = [], [], []
     while True:
         interior = ~f.boundary & f.center_in
-        ids.append(f.cells[interior])
-        n_interior += len(ids[-1])
-        n_boundary = int(f.boundary.sum())
-        if (
-            n_boundary == 0
-            or f.level >= max_level
-            or n_interior + 4 * n_boundary > max_cells
-        ):
+        n_interior += np.bincount(f.job[interior], minlength=n)
+        n_boundary = np.bincount(f.job[f.boundary], minlength=n)
+        stop = (
+            (n_boundary == 0)
+            | (level >= max_level)
+            | (n_interior + 4 * n_boundary > max_cells)
+        )
+        last = f.boundary & (stop & keep_boundary)[f.job]
+        for mask, flag in ((interior, True), (last, False)):
+            out_cells.append(f.cells[mask])
+            out_job.append(f.job[mask])
+            out_flag.append(np.full(len(out_job[-1]), flag))
+        split = np.flatnonzero(f.boundary & ~stop[f.job])
+        if len(split) == 0:
             break
-        f = _descend(f, np.flatnonzero(f.boundary), poly, extent)
-    flags = np.ones(n_interior, bool)
-    if keep_boundary:
-        ids.append(f.cells[f.boundary])
-        flags = np.append(flags, np.zeros(len(ids[-1]), bool))
-    return np.concatenate(ids), flags
+        f = _descend(f, split, polys, pset, extent)
+        level[~stop] += 1
+    job = np.concatenate(out_job)
+    order = np.argsort(job, kind="stable")
+    offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(job, minlength=n), out=offsets[1:])
+    return np.concatenate(out_cells)[order], np.concatenate(out_flag)[order], offsets
+
+
+def _cover_one(
+    poly: Polygon, extent: float, max_level: int, max_cells: float, keep_boundary: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    cells, flags, _ = cover_polygons(
+        PolygonSet([poly]), [0], extent, max_level, max_cells, keep_boundary
+    )
+    return cells, flags
 
 
 def precision_covering(
@@ -263,7 +412,7 @@ def precision_covering(
     polygon smaller than such a cell, so no boundary cell diagonal exceeds
     ``sqrt(2) * extent / 2**boundary_level``.
     """
-    return _walk(poly, extent, boundary_level, np.inf, keep_boundary=True)
+    return _cover_one(poly, extent, boundary_level, np.inf, keep_boundary=True)
 
 
 def budgeted_covering(
@@ -278,7 +427,7 @@ def budgeted_covering(
     covering); boundary cells refine while the budget allows, else are
     emitted coarse. Mirrors S2RegionCoverer's max_cells/max_level knobs.
     """
-    return _walk(poly, extent, max_level, max_cells, keep_boundary=True)[0]
+    return _cover_one(poly, extent, max_level, max_cells, keep_boundary=True)[0]
 
 
 def budgeted_interior_covering(
@@ -292,4 +441,4 @@ def budgeted_interior_covering(
     Boundary-intersecting cells refine while the budget allows and are
     *dropped* at the end — only fully-contained cells are emitted.
     """
-    return _walk(poly, extent, max_level, max_cells, keep_boundary=False)[0]
+    return _cover_one(poly, extent, max_level, max_cells, keep_boundary=False)[0]

@@ -31,15 +31,11 @@ from pyspark.sql import functions as F
 
 from repro.core import cellid
 from repro.core.act import build_act
-from repro.core.covering import (
-    budgeted_covering,
-    budgeted_interior_covering,
-    precision_covering,
-)
+from repro.core.covering import cover_polygons
 from repro.core.supercovering import SuperCovering, merge_coverings
 from repro.baselines.btree import build_btree
 from repro.baselines.sorted_vector import build_sorted_vector
-from repro.geometry.polygon import Polygon, PolygonSet, point_in_polygon
+from repro.geometry.polygon import PolygonSet, point_in_polygon
 
 #: Default S2RegionCoverer-analog budget (paper §4 "Polygon Approximations":
 #: max covering cells=128, max interior cells=256 at Earth scale). Scaled up
@@ -67,23 +63,33 @@ class PolygonIndexBundle:
     build_seconds: dict = field(default_factory=dict)
 
 
-def _cover_polygon(
-    poly: Polygon, extent: float, mode: str, boundary_level: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """One polygon's (cell ids, interior flags) for ``compute_coverings``."""
+def _cover(
+    pset: PolygonSet, pids: np.ndarray, extent: float, mode: str, boundary_level: int | None
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """``(pid, cell ids, interior flags)`` of each polygon in ``pids``, from
+    one descent over them all (``covering.cover_polygons``)."""
     if mode == "approx":
-        return precision_covering(poly, extent, boundary_level)
+        cells, flags, offs = cover_polygons(pset, pids, extent, boundary_level, np.inf, True)
+        return [
+            (int(p), cells[offs[k] : offs[k + 1]], flags[offs[k] : offs[k + 1]])
+            for k, p in enumerate(pids)
+        ]
+    # Job k is polygon pids[k]'s covering, job n + k its interior covering.
+    n = len(pids)
     cfg = ACCURATE_COVERER_CFG
-    c = budgeted_covering(
-        poly, extent, cfg["max_covering_cells"], cfg["max_covering_level"]
+    cells, _, offs = cover_polygons(
+        pset,
+        np.concatenate([pids, pids]),
+        extent,
+        np.repeat([cfg["max_covering_level"], cfg["max_interior_level"]], n),
+        np.repeat([cfg["max_covering_cells"], cfg["max_interior_cells"]], n),
+        np.repeat([True, False], n),
     )
-    i = budgeted_interior_covering(
-        poly, extent, cfg["max_interior_cells"], cfg["max_interior_level"]
-    )
-    return (
-        np.concatenate([c, i]),
-        np.concatenate([np.zeros(len(c), bool), np.ones(len(i), bool)]),
-    )
+    out = []
+    for k, p in enumerate(pids):
+        c, i = cells[offs[k] : offs[k + 1]], cells[offs[n + k] : offs[n + k + 1]]
+        out.append((int(p), np.concatenate([c, i]), np.arange(len(c) + len(i)) >= len(c)))
+    return out
 
 
 def compute_coverings(
@@ -98,9 +104,11 @@ def compute_coverings(
     ``mode='approx'`` computes precision-partition coverings whose boundary
     cells sit at the level implied by ``precision_m``;
     ``mode='accurate'`` computes the coarse budgeted S2-style coverings
-    (``ACCURATE_COVERER_CFG``). When ``spark`` is given, the per-polygon
-    work is distributed (the paper parallelizes this phase over polygons
-    too); either way the result has one entry per polygon, in id order.
+    (``ACCURATE_COVERER_CFG``). One descent covers all polygons together.
+    When ``spark`` is given, the polygon ids are partitioned and each
+    partition runs that descent over its polygons (the paper parallelizes
+    this phase over polygons too); either way the result has one entry per
+    polygon, in id order, and does not depend on how polygons are batched.
     """
     if mode == "approx":
         if precision_m is None:
@@ -112,18 +120,14 @@ def compute_coverings(
         raise ValueError(f"unknown mode {mode!r}")
 
     if spark is None:
-        return [
-            (pid, *_cover_polygon(poly, extent, mode, boundary_level))
-            for pid, poly in enumerate(pset.polygons)
-        ]
+        return _cover(pset, np.arange(len(pset)), extent, mode, boundary_level)
     sc = spark.sparkContext
     bc = sc.broadcast(pset)
     return (
         sc.parallelize(range(len(pset)), sc.defaultParallelism * 2)
-        .map(
-            lambda pid: (
-                pid,
-                *_cover_polygon(bc.value.polygons[pid], extent, mode, boundary_level),
+        .mapPartitions(
+            lambda pids: _cover(
+                bc.value, np.fromiter(pids, np.int64), extent, mode, boundary_level
             )
         )
         .collect()

@@ -53,10 +53,8 @@ class SuperCovering:
     def candidate_mask(self) -> np.ndarray:
         """Cells with >=1 candidate (non-interior) reference — the
         "expensive" cells of §3.3.1 whose hits require PIP tests."""
-        has_cand = np.zeros(self.n_cells, dtype=bool)
         cell_of_ref = np.repeat(np.arange(self.n_cells), self.ref_counts())
-        np.logical_or.at(has_cand, cell_of_ref, ~self.ref_interior)
-        return has_cand
+        return np.bincount(cell_of_ref[~self.ref_interior], minlength=self.n_cells) > 0
 
     def levels(self) -> np.ndarray:
         return cellid.level_of(self.ids)
@@ -96,35 +94,8 @@ def _dedup_refs(
     poly = poly[keep]
     interior = interior[keep]
     offsets = np.zeros(n_cells + 1, np.int64)
-    np.add.at(offsets, cell_idx + 1, 1)
-    np.cumsum(offsets, out=offsets)
+    np.cumsum(np.bincount(cell_idx, minlength=n_cells), out=offsets[1:])
     return offsets, poly, interior
-
-
-def _quadtree_subtract(cell: int, desc_sorted: np.ndarray) -> list[int]:
-    """Tile ``cell`` minus the union of its descendants in ``desc_sorted``.
-
-    ``desc_sorted`` holds maximal proper descendants (mutually disjoint).
-    Classic quadtree difference (Figure 4): split until a piece contains no
-    descendant (emit) or equals one (skip).
-    """
-    out: list[int] = []
-    stack = [int(cell)]
-    ids = desc_sorted
-    while stack:
-        q = stack.pop()
-        lsb = q & -q
-        lo = np.searchsorted(ids, q - lsb + 1, side="left")
-        hi = np.searchsorted(ids, q + lsb - 1, side="right")
-        if lo == hi:
-            out.append(q)
-            continue
-        if hi - lo == 1 and ids[lo] == q:
-            continue  # exactly one of the descendants — already covered
-        clsb = lsb >> 2
-        base = q - lsb + clsb
-        stack.extend((base, base + 2 * clsb, base + 4 * clsb, base + 6 * clsb))
-    return out
 
 
 def build_supercovering(
@@ -179,34 +150,38 @@ def build_supercovering(
     #    anc_chain[i] = list of distinct-cell indices contributing refs to i.
     #    Computed by following nearest_anc links (levels strictly decrease,
     #    so chains terminate).
-    # 4. Fragments: cells that are nearest-ancestor to someone are split.
-    has_child = np.zeros(n, dtype=bool)
-    has_child[nearest_anc[nearest_anc >= 0]] = True
-
-    order_children = np.argsort(nearest_anc, kind="stable")
-    # Group children by their nearest ancestor for the subtraction step.
-    out_cells: list[np.ndarray] = []
-    out_src: list[np.ndarray] = []  # distinct-cell index whose refs apply
-
-    # Cells without descendants survive unchanged.
-    leaves = np.flatnonzero(~has_child)
-    out_cells.append(uids[leaves])
-    out_src.append(leaves)
-
-    if has_child.any():
-        anc_sorted = nearest_anc[order_children]
-        start = np.searchsorted(anc_sorted, 0, side="left")
-        grp_starts = start + np.flatnonzero(
-            np.diff(anc_sorted[start:], prepend=-2) != 0
-        )
-        grp_ends = np.append(grp_starts[1:], n)
-        for s, e in zip(grp_starts, grp_ends):
-            parent_idx = int(anc_sorted[s])
-            desc = np.sort(uids[order_children[s:e]])
-            frags = _quadtree_subtract(int(uids[parent_idx]), desc)
-            if frags:
-                out_cells.append(np.asarray(frags, np.int64))
-                out_src.append(np.full(len(frags), parent_idx, np.int64))
+    # 4. Fragments. A cell without descendants survives unchanged. A cell
+    #    with descendants is replaced by the quadtree tiling of itself minus
+    #    its maximal proper descendants (the cells whose nearest ancestor it
+    #    is; Figure 4's d = c1 - c2): its *path nodes* are the cells on the
+    #    way down to each of those descendants, and the tiling is the
+    #    children of the ancestor and of every path node above a
+    #    descendant that are not path nodes themselves.
+    desc = np.flatnonzero(nearest_anc >= 0)
+    has_desc = np.zeros(n, dtype=bool)
+    has_desc[nearest_anc[desc]] = True
+    leaves = np.flatnonzero(~has_desc)
+    out_cells = [uids[leaves]]
+    out_src = [leaves]  # distinct-cell index whose refs apply
+    if len(desc):
+        anc = nearest_anc[desc]
+        depth = levels[desc] - levels[anc]  # path nodes per descendant
+        step = np.arange(int(depth.sum())) - np.repeat(np.cumsum(depth) - depth, depth)
+        node_level = np.repeat(levels[anc], depth) + 1 + step
+        nodes = cellid.parent(np.repeat(uids[desc], depth), node_level)
+        # A path node has one ancestor (an ancestor nested in another lies
+        # inside one of the outer one's maximal descendants), and a maximal
+        # descendant is never on another's path (they are disjoint).
+        path, first = np.unique(nodes, return_index=True)
+        path_anc = np.repeat(anc, depth)[first]
+        inner = node_level[first] < np.repeat(levels[desc], depth)[first]
+        split = np.concatenate([np.flatnonzero(has_desc), path_anc[inner]])
+        split_ids = np.concatenate([uids[has_desc], path[inner]])
+        kids = cellid.children(split_ids).reshape(-1)
+        pos = np.minimum(np.searchsorted(path, kids), len(path) - 1)
+        frag = path[pos] != kids
+        out_cells.append(kids[frag])
+        out_src.append(np.repeat(split, 4)[frag])
 
     frag_ids = np.concatenate(out_cells)
     frag_src = np.concatenate(out_src)

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import cellid
-from repro.core.covering import INTERIOR, classify_cells
-from repro.core.supercovering import SuperCovering, build_supercovering
+from repro.core.covering import INTERIOR, OUTSIDE, classify_pairs
+from repro.core.supercovering import SuperCovering
 from repro.geometry.polygon import PolygonSet
 
 
@@ -43,48 +43,64 @@ def _split_expensive_cells(
 ) -> SuperCovering:
     """Replace each cell in ``cell_idx`` by its 4 re-classified children.
 
-    True-hit references of a split cell are carried by the cell itself
-    (stripped of its candidate refs); candidate references are re-evaluated
-    per child. The merge step recombines everything into a disjoint set —
-    the order-independent form of the paper's "remove original cell, insert
-    descendant cells, update lookup table".
+    Every candidate reference of a split cell is re-classified on the 4
+    children, all (child, polygon) pairs in one pass: fully inside -> true
+    hit, intersecting -> candidate, outside -> dropped. A child carries the
+    parent's true references plus the candidate references it keeps; a
+    child with no reference is dropped, and a cell none of whose children
+    keeps a candidate reference stays whole with its true references only.
+    The children are spliced into the sorted covering in the parent's
+    place, which is the paper's "remove original cell, insert descendant
+    cells, update lookup table". The result equals ``build_supercovering``
+    over the untouched cells' references, the split cells' true references
+    and the children's references, the order-independent form of the same
+    update.
     """
-    split_mask = np.zeros(sc.n_cells, dtype=bool)
-    split_mask[cell_idx] = True
-    counts = sc.ref_counts()
-    ref_cell = np.repeat(np.arange(sc.n_cells), counts)  # owning cell per ref
+    n = sc.n_cells
+    split = np.zeros(n, dtype=bool)
+    split[cell_idx] = True
+    ref_cell = np.repeat(np.arange(n), sc.ref_counts())
+    cand = np.flatnonzero(split[ref_cell] & ~sc.ref_interior)
+    kid_poly = np.repeat(sc.ref_poly[cand], 4)
+    cls = classify_pairs(
+        cellid.children(sc.ids[ref_cell[cand]]).reshape(-1), kid_poly, pset, sc.extent
+    )
+    hit = np.flatnonzero(cls != OUTSIDE)
 
-    out_cells: list[np.ndarray] = []
-    out_polys: list[np.ndarray] = []
-    out_flags: list[np.ndarray] = []
+    # Output cells, keyed 4 * i + k: child k of split cell i, or cell i
+    # itself (k = 0) when it stays whole. Keys follow curve order.
+    hit_key = 4 * ref_cell[cand][hit // 4] + hit % 4
+    to_kids = np.zeros(n, dtype=bool)
+    to_kids[hit_key // 4] = True
+    has_true = np.bincount(ref_cell[sc.ref_interior], minlength=n) > 0
+    out = np.zeros((n, 4), dtype=bool)
+    out.reshape(-1)[hit_key] = True  # children that keep a candidate ref
+    out[to_kids & has_true] = True  # all 4 under a parent's true refs
+    out[:, 0] |= ~to_kids & (~split | has_true)  # cells kept whole
+    keys = np.flatnonzero(out.reshape(-1))
+    ids = sc.ids[keys // 4]
+    kid = to_kids[keys // 4]
+    ids[kid] = cellid.children(ids[kid])[np.arange(int(kid.sum())), keys[kid] % 4]
 
-    # 1. Refs of untouched cells — and the *true* refs of split cells (the
-    #    split cell region is fully inside those polygons regardless of the
-    #    split, so the parent cell carries them; the merge recombines).
-    keep_ref = ~split_mask[ref_cell] | sc.ref_interior
-    out_cells.append(np.repeat(sc.ids, counts)[keep_ref])
-    out_polys.append(sc.ref_poly[keep_ref])
-    out_flags.append(sc.ref_interior[keep_ref])
-
-    # 2. Candidate refs of split cells: re-classify the 4 children against
-    #    the referenced polygon, batched per polygon.
-    cand_ref = split_mask[ref_cell] & ~sc.ref_interior
-    cand_cells = np.repeat(sc.ids, counts)[cand_ref]
-    cand_poly = sc.ref_poly[cand_ref]
-    for p in np.unique(cand_poly):
-        cells_p = cand_cells[cand_poly == p]
-        kids = cellid.children(cells_p).ravel()
-        cls = classify_cells(kids, pset.polygons[int(p)], sc.extent)
-        hit = cls != 0
-        if hit.any():
-            out_cells.append(kids[hit])
-            out_polys.append(np.full(int(hit.sum()), p, np.int32))
-            out_flags.append(cls[hit] == INTERIOR)
-    return build_supercovering(
-        np.concatenate(out_cells),
-        np.concatenate(out_polys),
-        np.concatenate(out_flags),
-        sc.extent,
+    # References: those of cells kept whole (already in (cell, poly)
+    # order), and the children's, sorted and inserted in key order.
+    whole = ~to_kids[ref_cell] & (~split[ref_cell] | sc.ref_interior)
+    true = np.flatnonzero(to_kids[ref_cell] & sc.ref_interior)
+    new_key = np.concatenate(
+        [(4 * ref_cell[true][:, None] + np.arange(4)).reshape(-1), hit_key]
+    )
+    new_poly = np.concatenate([np.repeat(sc.ref_poly[true], 4), kid_poly[hit]])
+    new_int = np.concatenate([np.ones(4 * len(true), bool), cls[hit] == INTERIOR])
+    order = np.lexsort((new_poly, new_key))
+    old_key = 4 * ref_cell[whole]
+    at = np.searchsorted(old_key, new_key[order])
+    counts = np.bincount(np.concatenate([old_key, new_key]), minlength=4 * n)[keys]
+    return SuperCovering(
+        ids=ids,
+        ref_offsets=np.append(0, np.cumsum(counts)),
+        ref_poly=np.insert(sc.ref_poly[whole], at, new_poly[order]),
+        ref_interior=np.insert(sc.ref_interior[whole], at, new_int[order]),
+        extent=sc.extent,
     )
 
 
@@ -103,7 +119,8 @@ def train_index(
     is the paper's memory budget; ``max_level`` bounds refinement depth.
     """
     stats = TrainingStats(n_cells_history=[sc.n_cells])
-    pt = cellid.cell_from_point(train_x, train_y, sc.extent)
+    # Sorted needles make each round's binary searches cheap.
+    pt = np.sort(cellid.cell_from_point(train_x, train_y, sc.extent))
     for _ in range(max_rounds):
         if max_cells is not None and sc.n_cells >= max_cells:
             break

@@ -156,16 +156,36 @@ def point_in_polygon(
         return out
     step = max(1, chunk // max(1, e))
     for s in range(0, n, step):
-        pxs = px[s : s + step, None]
-        pys = py[s : s + step, None]
-        straddle = (y1[None, :] > pys) != (y2[None, :] > pys)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xin = x1[None, :] + (pys - y1[None, :]) * (x2 - x1)[None, :] / (
-                y2 - y1
-            )[None, :]
-        crossing = straddle & (pxs < xin)
+        crossing = ray_crossings(
+            px[s : s + step, None],
+            py[s : s + step, None],
+            x1[None, :],
+            y1[None, :],
+            x2[None, :],
+            y2[None, :],
+        )
         out[s : s + step] = (crossing.sum(axis=1) & 1).astype(bool)
     return out
+
+
+def ray_crossings(
+    px: np.ndarray,
+    py: np.ndarray,
+    x1: np.ndarray,
+    y1: np.ndarray,
+    x2: np.ndarray,
+    y2: np.ndarray,
+) -> np.ndarray:
+    """Whether the +x ray from each point crosses each edge (broadcasting).
+
+    The crossing-number step of :func:`point_in_polygon`: a point is inside
+    a polygon iff its ray crosses an odd number of the polygon's edges.
+    Operands broadcast like :func:`segments_intersect_rects`.
+    """
+    straddle = (y1 > py) != (y2 > py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xin = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+    return straddle & (px < xin)
 
 
 def point_in_polygon_set(

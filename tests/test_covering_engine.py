@@ -21,7 +21,7 @@ from repro.core.covering import (
     classify_cells,
     precision_covering,
 )
-from repro.core.join import build_index, probe_batch
+from repro.core.join import build_index, compute_coverings, probe_batch
 from repro.geometry.polygon import (
     Polygon,
     PolygonSet,
@@ -129,3 +129,19 @@ def test_approx_join_on_one_meter_triangle():
     assert truth and truth <= got
     fp = np.array(sorted(p for p, _ in got - truth), np.int64)
     assert np.all(point_to_polygon_distance(px[fp], py[fp], pset.polygons[0]) <= 4.0)
+
+
+@pytest.mark.parametrize("name", sd.POLYGON_DATASETS)
+@pytest.mark.parametrize("mode,precision", [("approx", 4.0), ("accurate", None)])
+def test_coverings_independent_of_batch(name, mode, precision):
+    """One descent over the whole set gives each polygon exactly the
+    covering a descent over that polygon alone gives."""
+    pset = sd.polygon_dataset(name, scale="test")
+    together = compute_coverings(pset, sd.EXTENT, mode, precision)
+    assert [pid for pid, _, _ in together] == list(range(len(pset)))
+    for pid, cells, flags in together:
+        [(_, alone, alone_flags)] = compute_coverings(
+            PolygonSet([pset.polygons[pid]]), sd.EXTENT, mode, precision
+        )
+        np.testing.assert_array_equal(cells, alone)
+        np.testing.assert_array_equal(flags, alone_flags)

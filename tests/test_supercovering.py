@@ -1,6 +1,8 @@
 """Tests for the super covering merge and Listing-1 conflict resolution."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import synth_data as sd
 from repro.core import cellid
@@ -11,7 +13,6 @@ from repro.core.covering import (
 )
 from repro.core.supercovering import (
     SuperCovering,
-    _quadtree_subtract,
     build_supercovering,
     merge_coverings,
 )
@@ -34,13 +35,24 @@ def cell_index(sc: SuperCovering, cid: int) -> int:
     return i
 
 
+def difference(c1: int, descs) -> list:
+    """Figure 4's ``d = c1 - c2``: the cells, other than the descendants,
+    that merging ``c1`` with its descendants ``descs`` produces."""
+    descs = [int(d) for d in descs]
+    cells = np.array([c1, *descs], np.int64)
+    sc = build_supercovering(
+        cells, np.arange(len(cells), dtype=np.int32), np.zeros(len(cells), bool), EXT
+    )
+    return [int(c) for c in sc.ids if int(c) not in descs]
+
+
 class TestQuadtreeSubtract:
     def test_figure4_difference(self):
         """Paper Figure 4: c1 at level L contains c2 at level L+... the
         difference d consists of 3 * level-gap cells; here gap=1 -> 3."""
         c1 = cell(0, 0, 2)
         c2 = cellid.children(np.array([c1]))[0][0]
-        d = _quadtree_subtract(c1, np.array([c2]))
+        d = difference(c1, [c2])
         assert len(d) == 3
         # d plus c2 tiles c1 exactly (disjoint ranges, full span).
         allc = np.sort(np.array(d + [c2]))
@@ -52,20 +64,65 @@ class TestQuadtreeSubtract:
         """Gap of 2 levels -> 6 difference cells (paper Figure 4)."""
         c1 = cell(0, 0, 2)
         c2 = cellid.children(cellid.children(np.array([c1]))[0][:1])[0][2]
-        d = _quadtree_subtract(c1, np.array([c2]))
+        d = difference(c1, [c2])
         assert len(d) == 6
 
     def test_multiple_descendants(self):
         c1 = cell(1, 1, 3)
         kids = cellid.children(np.array([c1]))[0]
-        d = _quadtree_subtract(c1, np.sort(kids[:2]))
+        d = difference(c1, np.sort(kids[:2]))
         assert len(d) == 2
         assert set(d) == set(kids[2:].tolist())
 
     def test_covered_exactly(self):
         c1 = cell(0, 0, 4)
         kids = np.sort(cellid.children(np.array([c1]))[0])
-        assert _quadtree_subtract(c1, kids) == []
+        assert difference(c1, kids) == []
+
+
+#: Random nested cell sets: (x, y) on a level-6 grid, coarsened to a level
+#: in [0, 6] so that cells often contain one another.
+_rows = st.lists(
+    st.tuples(
+        st.integers(0, 63), st.integers(0, 63), st.integers(0, 6),
+        st.integers(0, 4), st.booleans(),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows)
+def test_merge_matches_listing1_oracle(rows):
+    """The merge against a brute-force Listing 1: every point gets the
+    refs of all input cells containing it (interior wins), the output is
+    sorted and disjoint, and input cells without input descendants
+    survive unchanged."""
+    xs, ys, lv, polys, flags = (np.array(c) for c in zip(*rows))
+    cells = cellid.parent(cellid.cell_from_xy(xs, ys, 6), lv)
+    sc = build_supercovering(cells, polys.astype(np.int32), flags.astype(bool), EXT)
+
+    assert np.all(np.diff(sc.ids) > 0)
+    assert sc.validate_disjoint()
+
+    # Probe both ends of every input and output cell.
+    probes = np.concatenate(
+        [cellid.range_min(c) for c in (cells, sc.ids)]
+        + [cellid.range_max(c) for c in (cells, sc.ids)]
+    )
+    found = cellid.locate(sc.ids, probes, np.searchsorted(sc.ids, probes))
+    for leaf, i in zip(probes.tolist(), found.tolist()):
+        expect: dict = {}
+        for c, p, f in zip(cells.tolist(), polys.tolist(), flags.tolist()):
+            if cellid.contains(np.array([c]), leaf)[0]:
+                expect[p] = expect.get(p, False) or f
+        got = refs_of(sc, i) if i >= 0 else set()
+        assert got == set(expect.items())
+
+    contains = cellid.contains(cells[:, None], cells[None, :]) & (cells[:, None] != cells[None, :])
+    leaves = cells[~contains.any(axis=1)]
+    assert np.isin(leaves, sc.ids).all()
 
 
 class TestBuildSupercovering:

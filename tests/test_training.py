@@ -4,10 +4,17 @@ import pytest
 
 from repro import synth_data as sd
 from repro.core import cellid
-from repro.core.join import build_index, probe_batch
-from repro.core.supercovering import merge_coverings
-from repro.core.covering import budgeted_covering, budgeted_interior_covering
-from repro.core.training import refine_to_precision, train_index
+from repro.core.join import build_index, compute_coverings, probe_batch
+from repro.core.supercovering import build_supercovering, merge_coverings
+from repro.core.covering import (
+    INTERIOR,
+    OUTSIDE,
+    budgeted_covering,
+    budgeted_interior_covering,
+    classify_cells,
+    classify_pairs,
+)
+from repro.core.training import _split_expensive_cells, refine_to_precision, train_index
 from repro.geometry.polygon import point_in_polygon_set
 
 
@@ -169,3 +176,55 @@ class TestRefineToPrecision:
     def test_refinement_grows_cells(self, accurate_sc, neigh):
         sc = refine_to_precision(accurate_sc, neigh, 15.0)
         assert sc.n_cells > accurate_sc.n_cells
+
+
+def merge_split(sc, cell_idx, pset):
+    """What splitting ``cell_idx`` means: the merge of the untouched cells'
+    refs, the split cells' true refs, and the 4 children of every
+    candidate ref of a split cell, re-classified against its polygon."""
+    split = np.zeros(sc.n_cells, dtype=bool)
+    split[cell_idx] = True
+    counts = sc.ref_counts()
+    ref_ids = np.repeat(sc.ids, counts)
+    ref_split = np.repeat(split, counts)
+    keep = ~ref_split | sc.ref_interior
+    cells, polys, flags = [ref_ids[keep]], [sc.ref_poly[keep]], [sc.ref_interior[keep]]
+    cand = ref_split & ~sc.ref_interior
+    for p in np.unique(sc.ref_poly[cand]):
+        kids = cellid.children(ref_ids[cand & (sc.ref_poly == p)]).ravel()
+        cls = classify_cells(kids, pset.polygons[int(p)], sc.extent)
+        hit = cls != OUTSIDE
+        cells.append(kids[hit])
+        polys.append(np.full(int(hit.sum()), p, np.int32))
+        flags.append(cls[hit] == INTERIOR)
+    return build_supercovering(
+        np.concatenate(cells), np.concatenate(polys), np.concatenate(flags), sc.extent
+    )
+
+
+@pytest.mark.parametrize("name", ["neighborhoods", "boroughs"])
+def test_split_equals_merge(name):
+    """The splice equals re-merging, array for array, for random splits.
+    Each split includes cells with true refs none of whose children keeps
+    a candidate ref: those stay whole."""
+    pset = sd.polygon_dataset(name, scale="test")
+    sc = merge_coverings(compute_coverings(pset, sd.EXTENT, "accurate"), sd.EXTENT)
+    ref_cell = np.repeat(np.arange(sc.n_cells), sc.ref_counts())
+    cand = np.flatnonzero(~sc.ref_interior)
+    kids = cellid.children(sc.ids[ref_cell[cand]]).reshape(-1)
+    cls = classify_pairs(kids, np.repeat(sc.ref_poly[cand], 4), pset, sc.extent)
+    keeps_cand = np.zeros(sc.n_cells, dtype=bool)
+    keeps_cand[ref_cell[cand][(cls.reshape(-1, 4) != OUTSIDE).any(axis=1)]] = True
+    has_true = np.bincount(ref_cell[sc.ref_interior], minlength=sc.n_cells) > 0
+    stays_whole = np.flatnonzero(sc.candidate_mask() & has_true & ~keeps_cand)
+    assert len(stays_whole) > 0
+    rng = np.random.default_rng(5)
+    for size in (1, sc.n_cells // 50, sc.n_cells // 3):
+        idx = np.union1d(
+            rng.choice(sc.n_cells, size, replace=False), rng.choice(stays_whole, 3)
+        )
+        got = _split_expensive_cells(sc, idx, pset)
+        want = merge_split(sc, idx, pset)
+        for field in ("ids", "ref_offsets", "ref_poly", "ref_interior"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+            assert getattr(got, field).dtype == getattr(want, field).dtype
