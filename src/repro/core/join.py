@@ -10,22 +10,38 @@ computation — broadcast to the executors, and probed per partition in a
 ``mapInArrow`` kernel (a DataFrame -> DataFrame physical operator; see
 DESIGN.md §5 for why a JVM operator is out of scope).
 
+A bundle is broadcast once per ``SparkContext`` and the broadcast is
+shared by every query on it, so a warm query pays neither the pickling nor
+the executors' unpickling again; the broadcast is destroyed when the bundle
+is garbage-collected.
+
 The kernel sees only the columns it reads: the input is projected to
 ``pid, x, y`` (cast to long/double) before it crosses into Python, ``x``
 and ``y`` are read as numpy views of the Arrow columns, and the output
 batch is built from numpy arrays, with no pandas DataFrame on either side.
 Points that are null, not finite or outside the index extent are rejected
-by ``probe_batch`` and never paired.
+by ``probe_batch`` and never paired. The kernel probes chunks of at least
+``_CHUNK_ROWS`` rows, not Arrow's 10 K-row batches, so the fixed cost per
+probe (and, in exact mode, per polygon refined) is paid a few times per
+partition instead of once per batch.
 """
 from __future__ import annotations
 
+import contextlib
+import os
+import sys
+import threading
 import time
+import weakref
+import zipimport
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+from pyspark import Broadcast, SparkContext
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -51,7 +67,12 @@ ACCURATE_COVERER_CFG = {
 
 @dataclass
 class PolygonIndexBundle:
-    """Picklable, broadcastable polygon index + refinement geometry."""
+    """Picklable, broadcastable polygon index + refinement geometry.
+
+    A bundle is immutable once built: the joins broadcast it once per
+    ``SparkContext`` and reuse that broadcast for every query, so a change
+    made to a bundle after its first join would not reach the executors.
+    """
 
     structure: str  # 'act1' | 'act2' | 'act4' | 'lb' | 'btree'
     index: object  # probe_refs(point_ids) -> (row, poly, is_true)
@@ -61,6 +82,13 @@ class PolygonIndexBundle:
     precision_m: float | None
     n_cells: int
     build_seconds: dict = field(default_factory=dict)
+
+    def __getstate__(self) -> dict:
+        # The cached broadcast (``_broadcast``) stays on the driver: the
+        # pickled bundle, and so what executors receive, is only the fields.
+        state = self.__dict__.copy()
+        state.pop("_broadcast", None)
+        return state
 
 
 def _cover(
@@ -90,6 +118,28 @@ def _cover(
         c, i = cells[offs[k] : offs[k + 1]], cells[offs[n + k] : offs[n + k + 1]]
         out.append((int(p), np.concatenate([c, i]), np.arange(len(c) + len(i)) >= len(c)))
     return out
+
+
+def _drop_zip_importers() -> None:
+    """Evict the zip importers from ``sys.path_importer_cache``.
+
+    PySpark's worker calls ``importlib.invalidate_caches()`` at the start of
+    every task, and on CPython 3.11 that makes each cached
+    ``zipimport.zipimporter`` re-read its archive's whole directory: a
+    worker holds 16 of them (pyspark.zip, the py4j zip, the spark-core jar,
+    one per package subpath), which costs 0.2 s of CPU per task. Evicting
+    them leaves nothing for the next task's call to re-read. Modules
+    already imported keep their loaders, and a later import from an archive
+    re-creates its importer (from zipimport's own directory cache).
+
+    Every Python-worker kernel in this module calls this when it finishes,
+    so that the importers its own first imports re-create in a new worker
+    (the bundle's modules, and more during the first probe) are evicted
+    too. A worker's first task still pays the re-read.
+    """
+    for path, finder in list(sys.path_importer_cache.items()):
+        if isinstance(finder, zipimport.zipimporter):
+            del sys.path_importer_cache[path]
 
 
 def compute_coverings(
@@ -123,15 +173,17 @@ def compute_coverings(
         return _cover(pset, np.arange(len(pset)), extent, mode, boundary_level)
     sc = spark.sparkContext
     bc = sc.broadcast(pset)
-    return (
-        sc.parallelize(range(len(pset)), sc.defaultParallelism * 2)
-        .mapPartitions(
-            lambda pids: _cover(
-                bc.value, np.fromiter(pids, np.int64), extent, mode, boundary_level
-            )
-        )
-        .collect()
-    )
+
+    def cover(pids):
+        try:
+            return _cover(bc.value, np.fromiter(pids, np.int64), extent, mode, boundary_level)
+        finally:
+            _drop_zip_importers()
+
+    try:
+        return sc.parallelize(range(len(pset)), sc.defaultParallelism * 2).mapPartitions(cover).collect()
+    finally:
+        bc.destroy()
 
 
 _STRUCTURES = {
@@ -283,11 +335,87 @@ def _float64(column: pa.Array) -> np.ndarray:
     return column.to_numpy()
 
 
-def _probe_arrow(bundle: PolygonIndexBundle, batch: pa.RecordBatch, exact: bool):
-    """``probe_batch`` over the ``x``, ``y`` columns of one Arrow batch."""
-    return probe_batch(
-        bundle, _float64(batch.column("x")), _float64(batch.column("y")), exact
-    )
+#: Rows the join kernels probe at once, at least: Arrow's batches (10 K
+#: rows by default) are concatenated up to this size. ``spatial_join`` and
+#: ``spatial_join_stats`` read it when called, not on the executors.
+_CHUNK_ROWS = 131072
+
+#: Guards ``_bundle_broadcast``'s check-then-create: queries on one bundle
+#: may start from several driver threads.
+_BROADCAST_LOCK = threading.Lock()
+
+
+def _release(sc: SparkContext, bc: Broadcast) -> None:
+    """Destroy ``bc``. A stopped context has dropped its executors' blocks
+    already, and only the driver's temporary file is left to remove."""
+    if sc._jsc is not None:
+        bc.destroy()
+    else:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(bc._path)
+
+
+def _bundle_broadcast(sc: SparkContext, bundle: PolygonIndexBundle) -> Broadcast:
+    """The one broadcast of ``bundle`` in ``sc``, created on first use.
+
+    It is kept on the bundle, outside its pickled state. It is destroyed
+    when the bundle is garbage-collected, and replaced when asked for in
+    another context or after its own context has stopped. Until it is
+    destroyed, a broadcast keeps a pickled copy of the bundle in Spark's
+    temporary directory.
+    """
+    with _BROADCAST_LOCK:
+        held = getattr(bundle, "_broadcast", None)
+        if held is not None:
+            bc_sc, bc, release = held
+            if bc_sc is sc and sc._jsc is not None:
+                return bc
+            release()
+        bc = sc.broadcast(bundle)
+        release = weakref.finalize(bundle, _release, sc, bc)
+        # At interpreter exit the JVM removes Spark's temporary directory.
+        release.atexit = False
+        bundle._broadcast = (sc, bc, release)
+        return bc
+
+
+def _chunks(batches: Iterator[pa.RecordBatch], rows: int) -> Iterator[pa.RecordBatch]:
+    """The rows of ``batches`` regrouped into batches of at least ``rows``
+    rows; the last may be shorter, and none is empty."""
+    pending: list[pa.RecordBatch] = []
+    n = 0
+    for batch in batches:
+        if batch.num_rows:
+            pending.append(batch)
+            n += batch.num_rows
+        if n >= rows:
+            yield _concat(pending)
+            pending, n = [], 0
+    if pending:
+        yield _concat(pending)
+
+
+def _concat(batches: list[pa.RecordBatch]) -> pa.RecordBatch:
+    """One batch holding the rows of non-empty ``batches``."""
+    if len(batches) == 1:
+        return batches[0]
+    return pa.Table.from_batches(batches).combine_chunks().to_batches()[0]
+
+
+def _probe_chunks(
+    bc: Broadcast, batches: Iterator[pa.RecordBatch], exact: bool, chunk_rows: int
+) -> Iterator[tuple]:
+    """The body both join kernels share: ``probe_batch`` over the ``x``,
+    ``y`` columns of each chunk of ``batches``, yielding
+    ``(chunk, point_row, poly_id, true_hit, stats)``."""
+    try:
+        bundle = bc.value
+        for chunk in _chunks(batches, chunk_rows):
+            yield chunk, *probe_batch(
+                bundle, _float64(chunk.column("x")), _float64(chunk.column("y")), exact
+            )
+    finally:
+        _drop_zip_importers()
 
 
 def spatial_join(
@@ -302,18 +430,24 @@ def spatial_join(
     type; other columns are ignored. ``exact=None`` derives the refinement
     from the bundle mode (approx -> no PIP tests, accurate -> PIP tests on
     candidates).
+
+    The bundle is broadcast on its first join in this context, and every
+    later join (and ``spatial_join_stats``) reuses that broadcast, so the
+    Python workers keep it unpickled between queries. Each task probes its
+    partition in chunks of at least ``_CHUNK_ROWS`` rows, emits one output
+    batch per chunk, and finally evicts the worker's zip importers
+    (``_drop_zip_importers``), so the next task does not re-read them.
     """
     if exact is None:
         exact = bundle.mode == "accurate"
-    bc = spark.sparkContext.broadcast(bundle)
+    bc = _bundle_broadcast(spark.sparkContext, bundle)
+    chunk_rows = _CHUNK_ROWS
 
     def kernel(batches):
-        b = bc.value
-        for batch in batches:
-            rows, polys, is_true, _stats = _probe_arrow(b, batch, exact)
+        for chunk, rows, polys, is_true, _stats in _probe_chunks(bc, batches, exact, chunk_rows):
             yield pa.RecordBatch.from_arrays(
                 [
-                    batch.column("pid").take(rows),
+                    chunk.column("pid").take(rows),
                     pa.array(polys.astype(np.int64, copy=False)),
                     pa.array(is_true),
                 ],
@@ -333,17 +467,17 @@ def spatial_join_stats(
 
     The paper reports these (e.g. the solely-true-hits metric of Table 7);
     each partition emits one counter row, aggregated on the driver. The
-    kernel reads only ``x`` and ``y``, over the same Arrow input path as
-    ``spatial_join``.
+    kernel reads only ``x`` and ``y``, and probes the same chunks over the
+    same broadcast as ``spatial_join``.
     """
     if exact is None:
         exact = bundle.mode == "accurate"
-    bc = spark.sparkContext.broadcast(bundle)
+    bc = _bundle_broadcast(spark.sparkContext, bundle)
+    chunk_rows = _CHUNK_ROWS
 
     def kernel(batches):
         totals = dict.fromkeys(_STATS_COLUMNS, 0)
-        for batch in batches:
-            rows, _p, _t, stats = _probe_arrow(bc.value, batch, exact)
+        for _chunk, rows, _p, _t, stats in _probe_chunks(bc, batches, exact, chunk_rows):
             for k in _STATS:
                 totals[k] += stats[k]
             totals["result_pairs"] += len(rows)

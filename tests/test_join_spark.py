@@ -5,14 +5,26 @@ in plain SQL and executed by DuckDB (an independent engine sharing no code
 with the index or the numpy geometry). The approximate join must be a
 superset whose false positives stay within the precision bound.
 """
+import gc
+import os
+import pickle
+import sys
+import zipfile
+import zipimport
+
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from pyspark.sql import functions as F
 
 from repro import synth_data as sd
-from repro.core import cellid
+from repro.core import cellid, join
 from repro.core.join import (
+    PolygonIndexBundle,
+    _bundle_broadcast,
+    _chunks,
+    _drop_zip_importers,
     build_index,
     compute_coverings,
     count_per_polygon,
@@ -339,3 +351,195 @@ class TestBundle:
     def test_unknown_mode(self, neigh):
         with pytest.raises(ValueError):
             build_index(neigh, sd.EXTENT, mode="fuzzy")
+
+
+class TestChunking:
+    """The kernels regroup Arrow batches into chunks of at least
+    ``_CHUNK_ROWS`` rows; results must not depend on either size."""
+
+    def test_chunks_regroup_rows(self):
+        sizes = [97] * 20 + [0, 60, 0]
+        batches = []
+        start = 0
+        for n in sizes:
+            batches.append(pa.RecordBatch.from_pydict({"v": np.arange(start, start + n)}))
+            start += n
+        chunks = list(_chunks(iter(batches), 1000))
+        assert [c.num_rows for c in chunks] == [1067, 933]
+        joined = np.concatenate([c.column("v").to_numpy() for c in chunks])
+        np.testing.assert_array_equal(joined, np.arange(start))
+        assert list(_chunks(iter(batches[20:21]), 1000)) == []
+        assert list(_chunks(iter([]), 1000)) == []
+
+    def test_small_batches_several_chunks(
+        self, spark, monkeypatch, neigh, points_pdf, approx_bundle, exact_bundle
+    ):
+        """97-row Arrow batches and 1,000-row chunks: each of the two
+        partitions (2,000 rows) forms a full chunk and a short one."""
+        sdf = spark.createDataFrame(points_pdf).repartition(2)
+        default_approx = pairs(spatial_join(spark, sdf, approx_bundle))
+        key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+        old = spark.conf.get(key)
+        spark.conf.set(key, "97")
+        monkeypatch.setattr(join, "_CHUNK_ROWS", 1000)
+        try:
+            exact = spatial_join(spark, sdf, exact_bundle).select("pid", "poly_id")
+            assert_equivalent(exact, PIP_JOIN_SQL, points=points_pdf, edges=neigh.edges_pdf())
+            assert pairs(spatial_join(spark, sdf, approx_bundle)) == default_approx
+            stats = spatial_join_stats(spark, sdf, exact_bundle)
+        finally:
+            spark.conf.set(key, old)
+        rows, _p, _t, driver = probe_batch(
+            exact_bundle, points_pdf["x"].to_numpy(), points_pdf["y"].to_numpy(), exact=True
+        )
+        driver["result_pairs"] = len(rows)
+        for k, v in driver.items():
+            assert int(stats[k].iloc[0]) == v, k
+
+    @pytest.mark.parametrize("bundle_name", ["approx_bundle", "exact_bundle"])
+    def test_empty_partitions_and_input(self, request, spark, points_pdf, bundle_name):
+        bundle = request.getfixturevalue(bundle_name)
+        exact = bundle.mode == "accurate"
+        three = points_pdf.iloc[:3]
+        sparse = spark.createDataFrame(three).repartition(16)
+        rows, polys, _t, driver = probe_batch(
+            bundle, three["x"].to_numpy(), three["y"].to_numpy(), exact
+        )
+        driver["result_pairs"] = len(rows)
+        assert pairs(spatial_join(spark, sparse, bundle)) == set(
+            zip(three["pid"].to_numpy()[rows].tolist(), polys.tolist())
+        )
+        stats = spatial_join_stats(spark, sparse, bundle)
+        for k, v in driver.items():
+            assert int(stats[k].iloc[0]) == v, k
+
+        empty = spark.createDataFrame([], "pid long, x double, y double")
+        assert spatial_join(spark, empty, bundle).count() == 0
+        stats = spatial_join_stats(spark, empty, bundle)
+        assert len(stats) == 1
+        assert all(int(stats[k].iloc[0]) == 0 for k in driver)
+
+
+class _FakeBroadcast:
+    def __init__(self, path):
+        self._path = path
+        self.destroyed = False
+
+    def destroy(self):
+        self.destroyed = True
+        os.unlink(self._path)
+
+
+class _FakeContext:
+    """Stands in for a ``SparkContext``: ``_jsc`` is None once stopped,
+    and each broadcast writes a file, as Spark's does."""
+
+    def __init__(self, tmp_path, name):
+        self._jsc = object()
+        self.tmp_path = tmp_path
+        self.name = name
+        self.made = 0
+
+    def broadcast(self, value):
+        self.made += 1
+        path = self.tmp_path / f"{self.name}-{self.made}"
+        path.write_bytes(pickle.dumps(value))
+        return _FakeBroadcast(str(path))
+
+
+def _broadcast_id(sc, bundle) -> int:
+    return _bundle_broadcast(sc, bundle)._jbroadcast.id()
+
+
+def _tiny_bundle() -> PolygonIndexBundle:
+    return PolygonIndexBundle("act4", None, None, 1.0, "approx", 4.0, 0)
+
+
+class TestBroadcastOnce:
+    """One broadcast per (bundle, context), destroyed with the bundle."""
+
+    def test_joins_share_one_broadcast(self, spark, neigh, points_sdf):
+        sc = spark.sparkContext
+        b = build_index(neigh, sd.EXTENT, mode="accurate", precision_m=None)
+        pickled = pickle.dumps(b, protocol=pickle.HIGHEST_PROTOCOL)
+        spatial_join(spark, points_sdf, b).count()
+        first = _broadcast_id(sc, b)
+        spatial_join(spark, points_sdf, b).count()
+        spatial_join_stats(spark, points_sdf, b)
+        assert _broadcast_id(sc, b) == first
+        # The cached broadcast is not part of the bundle's pickled state.
+        assert pickle.dumps(b, protocol=pickle.HIGHEST_PROTOCOL) == pickled
+        rebuilt = build_index(neigh, sd.EXTENT, mode="accurate", precision_m=None)
+        spatial_join(spark, points_sdf, rebuilt).count()
+        assert _broadcast_id(sc, rebuilt) != first
+
+    def test_one_temp_file_removed_with_bundle(self, spark, neigh, points_sdf):
+        """``sc.broadcast`` leaves a pickled copy of its value in the
+        context's temporary directory until the broadcast is destroyed."""
+        sc = spark.sparkContext
+        gc.collect()
+        before = set(os.listdir(sc._temp_dir))
+        b = build_index(neigh, sd.EXTENT, mode="approx", precision_m=60.0)
+        for _ in range(5):
+            spatial_join(spark, points_sdf, b).count()
+        path = _bundle_broadcast(sc, b)._path
+        assert set(os.listdir(sc._temp_dir)) - before == {os.path.basename(path)}
+        del b
+        gc.collect()
+        assert not os.path.exists(path)
+
+    def test_new_broadcast_for_other_or_stopped_context(self, tmp_path):
+        b = _tiny_bundle()
+        c1 = _FakeContext(tmp_path, "c1")
+        bc1 = _bundle_broadcast(c1, b)
+        assert _bundle_broadcast(c1, b) is bc1 and c1.made == 1
+        # A stopped context's broadcast is never reused; its file goes.
+        c1._jsc = None
+        bc2 = _bundle_broadcast(c1, b)
+        assert bc2 is not bc1 and not os.path.exists(bc1._path) and not bc1.destroyed
+        # Another live context gets its own; the old live one is destroyed.
+        c1._jsc = object()
+        c2 = _FakeContext(tmp_path, "c2")
+        bc3 = _bundle_broadcast(c2, b)
+        assert bc2.destroyed and not os.path.exists(bc2._path)
+        assert _bundle_broadcast(c2, b) is bc3
+        # The broadcast is part of no copy of the bundle.
+        assert pickle.dumps(b) == pickle.dumps(_tiny_bundle())
+        del b
+        gc.collect()
+        assert bc3.destroyed and not os.path.exists(bc3._path)
+
+    def test_spark_coverings_leave_no_broadcast(self, spark, neigh):
+        sc = spark.sparkContext
+        gc.collect()
+        before = set(os.listdir(sc._temp_dir))
+        compute_coverings(neigh, sd.EXTENT, "approx", 15.0, spark=spark)
+        assert set(os.listdir(sc._temp_dir)) - before == set()
+
+
+def test_drop_zip_importers(tmp_path, monkeypatch):
+    """Evicting the zip importers keeps imported modules and later imports
+    from the same archive working."""
+    archive = tmp_path / "plumbing_probe.zip"
+    with zipfile.ZipFile(archive, "w") as z:
+        z.writestr("plumbing_probe/__init__.py", "")
+        z.writestr("plumbing_probe/a.py", "X = 1\n")
+        z.writestr("plumbing_probe/b.py", "Y = 2\n")
+    monkeypatch.syspath_prepend(str(archive))
+
+    def zip_importers():
+        return [f for f in sys.path_importer_cache.values() if isinstance(f, zipimport.zipimporter)]
+
+    try:
+        import plumbing_probe.a
+
+        assert zip_importers()
+        _drop_zip_importers()
+        assert zip_importers() == []
+        assert plumbing_probe.a.X == 1
+        import plumbing_probe.b
+
+        assert plumbing_probe.b.Y == 2
+    finally:
+        for name in ("plumbing_probe", "plumbing_probe.a", "plumbing_probe.b"):
+            sys.modules.pop(name, None)
