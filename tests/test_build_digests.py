@@ -9,6 +9,9 @@ and raw bytes, in the order listed in ``SC_ARRAYS`` / ``ACT_ARRAYS``.
 Builds: ``approx`` is the 4 m approximate build, ``accurate`` the
 budgeted accurate build, and ``trained`` the accurate build trained with
 10,000 taxi points (seed 1).
+
+The S2ShapeIndex analogs SI1 and SI10 are pinned the same way: one digest
+of the arrays in ``SI_ARRAYS`` per dataset and ``max_edges_per_cell``.
 """
 import hashlib
 
@@ -16,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro import synth_data as sd
+from repro.baselines.shapeindex import build_shapeindex
 from repro.core.act import build_act
 from repro.core.join import compute_coverings
 from repro.core.supercovering import merge_coverings
@@ -23,6 +27,7 @@ from repro.core.training import train_index
 
 SC_ARRAYS = ("ids", "ref_offsets", "ref_poly", "ref_interior")
 ACT_ARRAYS = ("entries", "lookup_table")
+SI_ARRAYS = ("ids", "edge_offsets", "edge_idx", "cin_offsets", "cin_poly")
 
 #: (dataset, build) -> (super covering digest, ACT4 digest).
 DIGESTS = {
@@ -64,6 +69,16 @@ DIGESTS = {
     ),
 }
 
+#: (dataset, max_edges_per_cell) -> shape index digest.
+SI_DIGESTS = {
+    ("boroughs", 1): "d1ef1afe5feea1655cb1a298c5784f4124d2d4b4efa0a87364f05ea8a9f5ee71",
+    ("boroughs", 10): "72323808037772bccc4e1e5937efe52b50e2076e8ca4f7a9c8e48ed91625d8b3",
+    ("neighborhoods", 1): "d64389ae746e58ecd68d38325bef80411b31fc3940fea83abac70890370e6f50",
+    ("neighborhoods", 10): "526d21a757906d150f199f60bc001a3b8185a2ad6280a67f8cc876c408569de7",
+    ("census", 1): "a2e3a9e95ab71c435ea77e5315d3bf9ff60aac8e74acb6a0ab3063822ec717ab",
+    ("census", 10): "a4e704a476c467704dda82312261c930a07a862f67c68c60e3c32d1a7c56dfb8",
+}
+
 
 def digest(obj, names) -> str:
     h = hashlib.sha256()
@@ -94,3 +109,10 @@ def test_build_is_bit_identical(name, kind):
     want_sc, want_act = DIGESTS[(name, kind)]
     assert digest(sc, SC_ARRAYS) == want_sc
     assert digest(build_act(sc, 4), ACT_ARRAYS) == want_act
+
+
+@pytest.mark.parametrize("name,max_edges", sorted(SI_DIGESTS))
+def test_shapeindex_is_bit_identical(name, max_edges):
+    pset = sd.polygon_dataset(name, scale="test")
+    si = build_shapeindex(pset, sd.EXTENT, max_edges_per_cell=max_edges)
+    assert digest(si, SI_ARRAYS) == SI_DIGESTS[(name, max_edges)]
