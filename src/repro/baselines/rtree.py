@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.join import refine_candidates
 from repro.geometry.polygon import PolygonSet
 
 MAX_ENTRIES = 8
@@ -161,12 +160,10 @@ def rtree_join(
     Returns (point_idx, poly_id, stats) for all exact containments.
     """
     cand_pts, cand_polys, node_acc = idx.query_points(px, py)
-    keep, n_pip = refine_candidates(
-        px, py, cand_pts, cand_polys, np.zeros(len(cand_pts), bool), pset
-    )
+    keep = pset.contains(px[cand_pts], py[cand_pts], cand_polys)
     stats = {
         "candidates": int(len(cand_pts)),
-        "pip_tests": n_pip,
+        "pip_tests": int(len(cand_pts)),
         "node_accesses": int(node_acc),
     }
     return cand_pts[keep], cand_polys[keep], stats

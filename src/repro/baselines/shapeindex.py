@@ -15,11 +15,12 @@ sorted array probed with binary search (S2 stores it in a B-tree; the
 paper's point — a much coarser grid and edge-restricted PIP tests instead
 of ACT's fine-grained true/candidate classification — is preserved).
 
-Build is vectorized: frontier cells propagate their intersecting-edge
-subsets down the quadtree with the covering engine's own clipped-edge
-split (``covering.split_clipped``), and cell-center containment is
-resolved in one batch with the exact point-polygon machinery (itself
-validated against the SQL oracle).
+Build is vectorized with the covering engine's own clipped-edge machinery:
+the start grid is clipped against every polygon's edges
+(``covering._clip_to_polygons``), frontier cells carry their
+intersecting-edge subsets down the quadtree (``covering.split_clipped``),
+and the final cells' center containment is one R-tree filter-and-refine
+join (``rtree.rtree_join``, refined by ``PolygonSet.contains``).
 """
 from __future__ import annotations
 
@@ -27,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.baselines.rtree import build_rtree, rtree_join
 from repro.core import cellid
-from repro.core.covering import split_clipped
-from repro.geometry.polygon import PolygonSet, segments_cross, segments_intersect_rects
+from repro.core.covering import _clip_to_polygons, split_clipped
+from repro.geometry.polygon import PolygonSet, segments_cross
 
 #: Level of the uniform grid the adaptive split starts from.
 _START_LEVEL = 2
@@ -123,38 +125,6 @@ class ShapeIndex:
         return np.concatenate(res_p), np.concatenate(res_g), stats
 
 
-def _centers_containment(
-    pset: PolygonSet, extent: float, cx: np.ndarray, cy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(cell_idx, poly_id) pairs of centers inside polygons.
-
-    Uses the exact accurate-join machinery (validated against the SQL
-    oracle) as a build-time tool — a brute-force PIP over every (center,
-    polygon) pair is infeasible for the fractal boroughs dataset.
-    """
-    from repro.core.join import build_index, probe_batch
-
-    bundle = build_index(pset, extent, mode="accurate", precision_m=None)
-    rows, polys, _true, _stats = probe_batch(bundle, cx, cy, exact=True)
-    return rows, polys.astype(np.int64)
-
-
-def _clip_edges(cells: np.ndarray, edges, extent: float) -> tuple[np.ndarray, np.ndarray]:
-    """(cell index, edge index) pairs of every edge intersecting a cell.
-
-    ``edges`` is ``(x1, y1, x2, y2)``. The test is the full cross product,
-    so ``cells`` are the few cells of the start grid; ``split_clipped``
-    carries the pairs down from there.
-    """
-    ex1, ey1, ex2, ey2 = edges
-    x0, y0, x1, y1 = cellid.cell_bounds(cells, extent)
-    hit = segments_intersect_rects(
-        ex1[None, :], ey1[None, :], ex2[None, :], ey2[None, :],
-        x0[:, None], y0[:, None], x1[:, None], y1[:, None],
-    )
-    return tuple(a.astype(np.int64) for a in np.nonzero(hit))
-
-
 def build_shapeindex(
     pset: PolygonSet,
     extent: float,
@@ -164,7 +134,12 @@ def build_shapeindex(
     """Adaptive grid: split cells while they hold > max_edges_per_cell edges."""
     cells = cellid.cells_in_rect(0, 0, extent, extent, _START_LEVEL, extent)
     edges = (pset.edge_x1, pset.edge_y1, pset.edge_x2, pset.edge_y2)
-    pair_cell, pair_edge = _clip_edges(cells, edges, extent)
+    # Row r of the clip is the pair (cell r // n, polygon r % n).
+    n = len(pset)
+    row, pair_edge = _clip_to_polygons(
+        np.repeat(cells, n), np.tile(np.arange(n), len(cells)), pset, extent
+    )
+    pair_cell = row // n
     final_cells: list[np.ndarray] = []
     final_pair_cell: list[np.ndarray] = []  # cell ids
     final_pair_edge: list[np.ndarray] = []
@@ -193,7 +168,8 @@ def build_shapeindex(
     x0, y0, x1, y1 = cellid.cell_bounds(ids, extent)
     cx0 = (x0 + x1) / 2
     cy0 = (y0 + y1) / 2
-    cin_cell, cin_poly = _centers_containment(pset, extent, cx0, cy0)
+    # Which polygons contain each center: R-tree filter and refine.
+    cin_cell, cin_poly, _ = rtree_join(cx0, cy0, build_rtree(pset), pset)
     o = np.argsort(cin_cell, kind="stable")
     cin_poly = cin_poly[o]
     cin_offsets = np.searchsorted(cin_cell[o], np.arange(len(ids) + 1))

@@ -49,53 +49,20 @@ import numpy as np
 
 from repro.core import cellid
 from repro.geometry.polygon import (
+    _PAIR_CHUNK,
     Polygon,
     PolygonSet,
-    ray_crossings,
+    _chunks,
+    _edge_chunks,
+    _ranges,
     segments_cross,
     segments_intersect_rects,
 )
 
 OUTSIDE, BOUNDARY, INTERIOR = 0, 1, 2
 
-# (cell, edge) pairs tested per chunk: small enough that a chunk's
-# temporaries stay in a core's L2 cache, however many cells and polygons
-# one pass covers.
-_PAIR_CHUNK = 65_536
-
 # A descent starts from at most this many cells over the polygon's MBR.
 _MAX_SEED_CELLS = 8
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(s, s + c)`` for each ``(s, c)``."""
-    ends = np.cumsum(counts, dtype=np.int64)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total, dtype=np.int64) - np.repeat(ends - counts - starts, counts)
-
-
-def _chunks(counts: np.ndarray, limit: int):
-    """Yield ``(lo, hi)``: consecutive row ranges whose ``counts`` sum to at
-    most ``limit`` (or one row that alone exceeds it)."""
-    ends = np.cumsum(counts)
-    lo = 0
-    while lo < len(counts):
-        done = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + limit, side="right")))
-        yield lo, hi
-        lo = hi
-
-
-def _edge_chunks(polys: np.ndarray, pset: PolygonSet):
-    """Yield ``(lo, hi, row, edge)``: rows ``lo:hi`` each joined to every
-    edge of its polygon ``polys[row]``, ordered by row, about
-    ``_PAIR_CHUNK`` pairs per chunk."""
-    counts = np.diff(pset.edge_offsets)[polys]
-    for lo, hi in _chunks(counts, _PAIR_CHUNK):
-        c = counts[lo:hi]
-        yield lo, hi, np.repeat(np.arange(lo, hi), c), _ranges(
-            pset.edge_offsets[polys[lo:hi]], c
-        )
 
 
 def _clip_to_polygons(
@@ -127,20 +94,9 @@ def _clip_to_polygons(
 def _centers_inside(
     cells: np.ndarray, polys: np.ndarray, pset: PolygonSet, extent: float
 ) -> np.ndarray:
-    """Whether each cell's center lies inside its polygon ``polys[row]``
-    (the crossing-number test of ``point_in_polygon``)."""
+    """Whether each cell's center lies inside its polygon ``polys[row]``."""
     x0, y0, x1, y1 = cellid.cell_bounds(cells, extent)
-    cx, cy = (x0 + x1) / 2, (y0 + y1) / 2
-    ex1, ey1, ex2, ey2 = pset.edge_x1, pset.edge_y1, pset.edge_x2, pset.edge_y2
-    crossings = np.zeros(len(cells), np.int64)
-    for lo, hi, row, e in _edge_chunks(polys, pset):
-        # Only edges that straddle the center's horizontal line can cross.
-        ys = cy[row]
-        near = (ey1[e] > ys) != (ey2[e] > ys)
-        row, e = row[near], e[near]
-        cr = ray_crossings(cx[row], cy[row], ex1[e], ey1[e], ex2[e], ey2[e])
-        crossings[lo:hi] += np.bincount(row[cr] - lo, minlength=hi - lo)
-    return (crossings & 1).astype(bool)
+    return pset.contains((x0 + x1) / 2, (y0 + y1) / 2, polys)
 
 
 def classify_pairs(

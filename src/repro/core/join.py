@@ -22,7 +22,7 @@ batch is built from numpy arrays, with no pandas DataFrame on either side.
 Points that are null, not finite or outside the index extent are rejected
 by ``probe_batch`` and never paired. The kernel probes chunks of at least
 ``_CHUNK_ROWS`` rows, not Arrow's 10 K-row batches, so the fixed cost per
-probe (and, in exact mode, per polygon refined) is paid a few times per
+probe (and, in exact mode, per refinement call) is paid a few times per
 partition instead of once per batch.
 """
 from __future__ import annotations
@@ -51,7 +51,7 @@ from repro.core.covering import cover_polygons
 from repro.core.supercovering import SuperCovering, merge_coverings
 from repro.baselines.btree import build_btree
 from repro.baselines.sorted_vector import build_sorted_vector
-from repro.geometry.polygon import PolygonSet, point_in_polygon
+from repro.geometry.polygon import PolygonSet
 
 #: Default S2RegionCoverer-analog budget (paper §4 "Polygon Approximations":
 #: max covering cells=128, max interior cells=256 at Earth scale). Scaled up
@@ -242,19 +242,12 @@ def refine_candidates(
 ) -> tuple[np.ndarray, int]:
     """Exact PIP refinement of candidate pairs (paper Listing 3, EXACT).
 
-    Returns ``(keep_mask, n_pip_tests)``; true hits pass without a test.
+    Returns ``(keep_mask, n_pip_tests)``; true hits pass without a test,
+    and all candidate pairs are tested in one ``PolygonSet.contains``.
     """
     keep = is_true.copy()
     cand = np.flatnonzero(~is_true)
-    if len(cand) == 0:
-        return keep, 0
-    order = cand[np.argsort(polys[cand], kind="stable")]
-    uniq, starts = np.unique(polys[order], return_index=True)
-    starts = np.append(starts, len(order))
-    for k, poly_id in enumerate(uniq):
-        sel = order[starts[k] : starts[k + 1]]
-        ex1, ey1, ex2, ey2 = pset.poly_edges(int(poly_id))
-        keep[sel] = point_in_polygon(px[rows[sel]], py[rows[sel]], ex1, ey1, ex2, ey2)
+    keep[cand] = pset.contains(px[rows[cand]], py[rows[cand]], polys[cand])
     return keep, int(len(cand))
 
 

@@ -2,6 +2,8 @@
 
 This is the substrate the paper gets from the S2/boost libraries: the exact
 point-in-polygon (PIP) test via the ray-crossing algorithm (paper §2),
+batched over (point, polygon) pairs in :meth:`PolygonSet.contains` (the one
+PIP test the join's refinement, the coverings and the baselines run),
 minimum bounding rectangles, exact segment-vs-axis-aligned-rectangle
 intersection (used to classify quadtree cells as boundary cells), proper
 segment crossings (used to carry point containment from a known point to a
@@ -17,6 +19,41 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# (row, edge) pairs tested per chunk: small enough that a chunk's
+# temporaries stay in a core's L2 cache, however many rows one call has.
+_PAIR_CHUNK = 65_536
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + c)`` for each ``(s, c)``."""
+    ends = np.cumsum(counts, dtype=np.int64)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.int64) - np.repeat(ends - counts - starts, counts)
+
+
+def _chunks(counts: np.ndarray, limit: int):
+    """Yield ``(lo, hi)``: consecutive row ranges whose ``counts`` sum to at
+    most ``limit`` (or one row that alone exceeds it)."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + limit, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+def _edge_chunks(polys: np.ndarray, pset: PolygonSet):
+    """Yield ``(lo, hi, row, edge)``: rows ``lo:hi`` each joined to every
+    edge of its polygon ``polys[row]``, ordered by row, about
+    ``_PAIR_CHUNK`` pairs per chunk."""
+    counts = np.diff(pset.edge_offsets)[polys]
+    for lo, hi in _chunks(counts, _PAIR_CHUNK):
+        c = counts[lo:hi]
+        yield lo, hi, np.repeat(np.arange(lo, hi), c), _ranges(
+            pset.edge_offsets[polys[lo:hi]], c
+        )
 
 
 @dataclass(frozen=True)
@@ -117,6 +154,27 @@ class PolygonSet:
             self.edge_x2[a:b],
             self.edge_y2[a:b],
         )
+
+    def contains(self, px: np.ndarray, py: np.ndarray, polys: np.ndarray) -> np.ndarray:
+        """Whether point ``(px[i], py[i])`` lies inside polygon ``polys[i]``.
+
+        The crossing-number test of :func:`point_in_polygon`, bit for bit,
+        over all pairs at once, whatever their polygons: each pair meets
+        every edge of its polygon, in chunks of about ``_PAIR_CHUNK``
+        (pair, edge) tests.
+        """
+        px = np.asarray(px, np.float64)
+        py = np.asarray(py, np.float64)
+        ex1, ey1, ex2, ey2 = self.edge_x1, self.edge_y1, self.edge_x2, self.edge_y2
+        crossings = np.zeros(len(px), np.int64)
+        for lo, hi, row, e in _edge_chunks(np.asarray(polys), self):
+            # Only edges that straddle the point's horizontal line can cross.
+            ys = py[row]
+            near = (ey1[e] > ys) != (ey2[e] > ys)
+            row, e = row[near], e[near]
+            cr = ray_crossings(px[row], py[row], ex1[e], ey1[e], ex2[e], ey2[e])
+            crossings[lo:hi] += np.bincount(row[cr] - lo, minlength=hi - lo)
+        return (crossings & 1).astype(bool)
 
     def edges_pdf(self):
         """Edge table as a pandas frame (for Spark builds / SQL oracle)."""

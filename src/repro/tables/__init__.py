@@ -3,8 +3,8 @@
 Each ``tableN`` module exposes ``run(spark=None, scale='test'|'bench')``
 returning the measured rows and printing a paper-shaped table, plus a
 ``PAPER`` constant with the numbers the paper reports (diffed in
-EXPERIMENTS.md). ``jobs/tableN.py`` wraps each for spark-submit;
-``benchmarks/bench_tableN.py`` regenerates them under pytest-benchmark.
+EXPERIMENTS.md). ``jobs/table.py N`` wraps table N for spark-submit;
+``benchmarks/bench_tables.py`` regenerates them under pytest-benchmark.
 """
 from __future__ import annotations
 

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import synth_data as sd
+from repro.core import cellid
+from repro.geometry import polygon
 from repro.geometry.polygon import (
     Polygon,
     PolygonSet,
@@ -133,6 +136,79 @@ class TestPolygonSet:
         pdf = self.make_set().edges_pdf()
         assert list(pdf.columns) == ["poly_id", "x1", "y1", "x2", "y2"]
         assert len(pdf) == 12
+
+
+def pip_pairwise(px, py, polys, pset) -> np.ndarray:
+    """``point_in_polygon`` applied to each (point, polygon) pair on its own."""
+    return np.array(
+        [
+            point_in_polygon(px[i : i + 1], py[i : i + 1], *pset.poly_edges(int(p)))[0]
+            for i, p in enumerate(polys)
+        ],
+        bool,
+    )
+
+
+def adversarial_pairs(pset, seed=0):
+    """``(px, py, polys)``: points on vertices, on edges (horizontal ones
+    among them), on cell borders and corners, and taxi points, each paired
+    with every polygon whose MBR holds it and with one random polygon."""
+    g = np.random.default_rng(seed)
+    x1, y1, x2, y2 = pset.edge_x1, pset.edge_y1, pset.edge_x2, pset.edge_y2
+    t = g.uniform(0, 1, pset.n_edges)
+    flat = np.flatnonzero(y1 == y2)
+    assert len(flat), "no horizontal edge to test on"
+    tx, ty = sd.taxi_points(600, seed=seed)
+    cells = cellid.cell_from_point(tx[:200], ty[:200], sd.EXTENT)
+    cells = cellid.parent(cells, g.integers(6, 13, len(cells)))
+    bx0, by0, bx1, by1 = cellid.cell_bounds(cells, sd.EXTENT)
+    px = np.concatenate([
+        x1, (x1 + x2) / 2, x1 + t * (x2 - x1), x1[flat] + 0.25 * (x2 - x1)[flat],
+        bx0, bx0, (bx0 + bx1) / 2, tx,
+    ])
+    py = np.concatenate([
+        y1, (y1 + y2) / 2, y1 + t * (y2 - y1), y1[flat],
+        by0, (by0 + by1) / 2, by1, ty,
+    ])
+    b = pset.mbrs
+    near = (
+        (px[:, None] >= b[:, 0]) & (px[:, None] <= b[:, 2])
+        & (py[:, None] >= b[:, 1]) & (py[:, None] <= b[:, 3])
+    )
+    pt, poly = np.nonzero(near)
+    pt = np.concatenate([pt, np.arange(len(px))])
+    poly = np.concatenate([poly, g.integers(0, len(pset), len(px))])
+    return px[pt], py[pt], poly
+
+
+@pytest.fixture(scope="module", params=["boroughs", "neighborhoods", "census"])
+def pip_case(request):
+    pset = sd.polygon_dataset(request.param, scale="test")
+    px, py, polys = adversarial_pairs(pset)
+    return pset, px, py, polys, pip_pairwise(px, py, polys, pset)
+
+
+class TestContains:
+    """``PolygonSet.contains`` is ``point_in_polygon``, pair by pair."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("pair_chunk", [polygon._PAIR_CHUNK, 7])
+    def test_equals_pairwise_pip(self, pip_case, dtype, pair_chunk, monkeypatch):
+        pset, px, py, polys, want = pip_case
+        assert want.any() and not want.all()
+        # A chunk smaller than any polygon's edge count: one pair per chunk.
+        monkeypatch.setattr(polygon, "_PAIR_CHUNK", pair_chunk)
+        np.testing.assert_array_equal(pset.contains(px, py, polys.astype(dtype)), want)
+
+    def test_repeated_pairs(self, pip_case):
+        pset, px, py, polys, want = pip_case
+        idx = np.random.default_rng(1).integers(0, len(px), 2 * len(px))
+        np.testing.assert_array_equal(pset.contains(px[idx], py[idx], polys[idx]), want[idx])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_empty_input(self, pip_case, dtype):
+        got = pip_case[0].contains(np.empty(0), np.empty(0), np.empty(0, dtype))
+        assert got.shape == (0,) and got.dtype == bool
 
 
 class TestSegmentRect:

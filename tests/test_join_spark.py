@@ -32,7 +32,7 @@ from repro.core.join import (
     spatial_join,
     spatial_join_stats,
 )
-from repro.geometry.polygon import point_to_polygon_distance
+from repro.geometry.polygon import point_in_polygon, point_to_polygon_distance
 from repro.geometry.sql_oracle import PIP_COUNT_SQL, PIP_JOIN_SQL
 from repro.oracle import assert_equivalent
 
@@ -247,6 +247,36 @@ class TestJoinStats:
         assert set(stats.columns) == set(driver)
         for k, v in driver.items():
             assert int(stats[k].iloc[0]) == v, k
+
+
+def refine_reference(px, py, rows, polys, is_true, pset):
+    """Per-polygon refinement: candidates grouped by polygon, one
+    ``point_in_polygon`` call per polygon."""
+    keep = is_true.copy()
+    cand = np.flatnonzero(~is_true)
+    order = cand[np.argsort(polys[cand], kind="stable")]
+    uniq, starts = np.unique(polys[order], return_index=True)
+    starts = np.append(starts, len(order))
+    for k, poly_id in enumerate(uniq):
+        sel = order[starts[k] : starts[k + 1]]
+        ex1, ey1, ex2, ey2 = pset.poly_edges(int(poly_id))
+        keep[sel] = point_in_polygon(px[rows[sel]], py[rows[sel]], ex1, ey1, ex2, ey2)
+    return keep
+
+
+@pytest.mark.parametrize("name", ["boroughs", "neighborhoods", "census"])
+def test_refine_candidates_matches_per_polygon_loop(name, points_pdf):
+    pset = sd.polygon_dataset(name, scale="test")
+    bundle = build_index(pset, sd.EXTENT, mode="accurate", precision_m=None)
+    ux, uy = sd.uniform_points(N_POINTS, seed=32)
+    px = np.concatenate([points_pdf.x.to_numpy(), ux])
+    py = np.concatenate([points_pdf.y.to_numpy(), uy])
+    rows, polys, is_true = bundle.index.probe_refs(cellid.cell_from_point(px, py, sd.EXTENT))
+    keep, n_pip = join.refine_candidates(px, py, rows, polys, is_true, pset)
+    want = refine_reference(px, py, rows, polys, is_true, pset)
+    np.testing.assert_array_equal(keep, want)
+    assert n_pip == (~is_true).sum()
+    assert (keep & ~is_true).any() and (~keep).any()
 
 
 class TestInputDomain:
