@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.geometry.polygon import PolygonSet
+from repro.geometry.polygon import PolygonSet, _ranges
 
 MAX_ENTRIES = 8
 
@@ -54,10 +54,7 @@ class RTreeIndex:
             cs = lvl.child_start[nodes]
             cc = lvl.child_count[nodes]
             rep_pts = np.repeat(pts, cc)
-            child = np.repeat(cs, cc) + (
-                np.arange(int(cc.sum()), dtype=np.int64)
-                - np.repeat(np.concatenate([[0], np.cumsum(cc)[:-1]]), cc)
-            )
+            child = _ranges(cs, cc)
             if lvl_i + 1 < len(self.levels):
                 nb = self.levels[lvl_i + 1].bounds
             else:

@@ -31,6 +31,7 @@ import numpy as np
 from repro.core import cellid
 from repro.core.supercovering import SuperCovering
 from repro.core.values import decode_entries, encode_values
+from repro.geometry.polygon import _ranges
 
 
 @dataclass
@@ -187,12 +188,7 @@ def build_act(sc: SuperCovering, delta: int = 4) -> ActIndex:
         m = d_cell == d
         nidx[m] = node_base[d] + np.searchsorted(nodes_at[d], node_key_of_cell[m])
     base_pos = nidx * fanout + slot_start
-    total_slots = int(n_slots.sum())
-    rep_base = np.repeat(base_pos, n_slots)
-    within = np.arange(total_slots, dtype=np.int64) - np.repeat(
-        np.concatenate([[0], np.cumsum(n_slots)[:-1]]), n_slots
-    )
-    pos = rep_base + within
+    pos = _ranges(base_pos, n_slots)
     if np.any(entries[pos] != 0):
         raise AssertionError("slot collision: super covering not disjoint")
     entries[pos] = np.repeat(values, n_slots)

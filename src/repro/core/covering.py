@@ -273,11 +273,12 @@ def _descend_chunk(
     boundary[pair_cell] = True
     job = np.repeat(f.job[split], 4)
 
-    # Degenerate propagation: recompute affected non-boundary children with
-    # the exact full PIP test.
+    # Degenerate propagation: recompute affected children with the exact
+    # full PIP test. Boundary children too, as their descendants inherit
+    # the flag.
     suspect = np.zeros(len(kids), dtype=bool)
     suspect[cand_cell[dg]] = True
-    redo = np.flatnonzero(suspect & ~boundary)
+    redo = np.flatnonzero(suspect)
     if len(redo):
         center_in[redo] = _centers_inside(kids[redo], polys[job[redo]], pset, extent)
     return _Frontier(

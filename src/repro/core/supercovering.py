@@ -6,15 +6,19 @@ descendant cell ``c2`` both occur, the result stores ``c2`` and the
 difference ``d = c1 - c2`` (as quadtree cells), copying ``c1``'s polygon
 references onto both. Identical cells merge their reference lists.
 
-Instead of inserting cells one at a time, we use the set-based equivalent:
-the final cell set is, for every distinct input cell ``c``, the quadtree
-tiling of ``c`` minus the union of its *maximal proper descendants* among
-the input cells; every output fragment inherits the references of all its
-ancestors among the input cells (which is exactly what repeated Listing-1
-insertion produces, independent of insertion order). Per-polygon reference
-lists are deduplicated with interior=True taking precedence (a cell known
-to be fully inside a polygon is a true hit even if a coarser boundary cell
-also referenced that polygon).
+Listing-1 insertion in any order ends with the coarsest quadtree tiling of
+the input cells' union in which every input cell is a union of output
+cells, and gives each output cell the references of every input cell that
+contains it. We build that result directly. Quadtree cells nest or are
+disjoint, and each is a contiguous curve range (``cellid.range_min`` ..
+``range_max``), so the merge is three array passes: the *roots* (a sort
+and a running maximum find the coarsest input cell containing each one),
+the *leaves and fragments* (every ancestor of an input cell below its root
+is split, Figure 4's ``d = c1 - c2``) and the *references* (two
+``searchsorted`` calls find the output cells inside each input row's
+range). Per-polygon reference lists are deduplicated with interior=True
+taking precedence (a cell known to be fully inside a polygon is a true hit
+even if a coarser boundary cell also referenced that polygon).
 
 The resulting cells are **disjoint**, so an index lookup returns at most
 one cell — the property ACT's tagged pointer-or-value slots rely on.
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import cellid
+from repro.geometry.polygon import _ranges
 
 
 @dataclass
@@ -112,134 +117,45 @@ def build_supercovering(
     cell_ids = np.asarray(cell_ids, np.int64)
     poly_ids = np.asarray(poly_ids, np.int32)
     interior_flags = np.asarray(interior_flags, bool)
-    if len(cell_ids) == 0:
-        return SuperCovering(
-            ids=np.empty(0, np.int64),
-            ref_offsets=np.zeros(1, np.int64),
-            ref_poly=np.empty(0, np.int32),
-            ref_interior=np.empty(0, bool),
-            extent=extent,
-        )
 
-    # 1. Distinct cells, refs grouped per cell ("already contains cell" case).
-    uids, inv = np.unique(cell_ids, return_inverse=True)
-    n = len(uids)
+    # 1. Roots: in (range_min, level) order a cell is nested iff an
+    #    earlier range reaches it, and its root is the last cell up to it
+    #    that is not nested.
+    uids = np.unique(cell_ids)
     levels = cellid.level_of(uids)
+    lo = cellid.range_min(uids)
+    order = np.lexsort((levels, lo))
+    reach = np.maximum.accumulate(cellid.range_max(uids[order]))
+    top = np.ones(len(uids), dtype=bool)
+    top[1:] = reach[:-1] < lo[order][1:]
+    root_level = np.empty_like(levels)
+    root_level[order] = levels[order][
+        np.maximum.accumulate(np.where(top, np.arange(len(uids)), 0))
+    ]
 
-    # 2. Nearest ancestor among the distinct cells, per cell. Iterate over
-    #    coarser levels from fine to coarse; the first hit is the nearest.
-    present_levels = np.sort(np.unique(levels))
-    ids_at = {int(lv): uids[levels == lv] for lv in present_levels}
-    idx_at = {int(lv): np.flatnonzero(levels == lv) for lv in present_levels}
-    nearest_anc = np.full(n, -1, np.int64)
-    for lv in present_levels:
-        finer = np.flatnonzero(levels > lv)
-        if len(finer) == 0:
-            continue
-        cand = ids_at[int(lv)]
-        par = cellid.parent(uids[finer], int(lv))
-        pos = np.searchsorted(cand, par)
-        ok = (pos < len(cand)) & (cand[np.minimum(pos, len(cand) - 1)] == par)
-        # We iterate levels ascending, so a later (finer) ancestor overwrites
-        # an earlier (coarser) one — the final value is the nearest ancestor.
-        nearest_anc[finer[ok]] = idx_at[int(lv)][pos[ok]]
-
-    # 3. Accumulated ancestor chains: refs(c) ∪ refs(ancestors of c). We
-    #    realize this by attaching, to every output cell derived from c,
-    #    the refs of c and of its (transitive) ancestors.
-    #    anc_chain[i] = list of distinct-cell indices contributing refs to i.
-    #    Computed by following nearest_anc links (levels strictly decrease,
-    #    so chains terminate).
-    # 4. Fragments. A cell without descendants survives unchanged. A cell
-    #    with descendants is replaced by the quadtree tiling of itself minus
-    #    its maximal proper descendants (the cells whose nearest ancestor it
-    #    is; Figure 4's d = c1 - c2): its *path nodes* are the cells on the
-    #    way down to each of those descendants, and the tiling is the
-    #    children of the ancestor and of every path node above a
-    #    descendant that are not path nodes themselves.
-    desc = np.flatnonzero(nearest_anc >= 0)
-    has_desc = np.zeros(n, dtype=bool)
-    has_desc[nearest_anc[desc]] = True
-    leaves = np.flatnonzero(~has_desc)
-    out_cells = [uids[leaves]]
-    out_src = [leaves]  # distinct-cell index whose refs apply
-    if len(desc):
-        anc = nearest_anc[desc]
-        depth = levels[desc] - levels[anc]  # path nodes per descendant
-        step = np.arange(int(depth.sum())) - np.repeat(np.cumsum(depth) - depth, depth)
-        node_level = np.repeat(levels[anc], depth) + 1 + step
-        nodes = cellid.parent(np.repeat(uids[desc], depth), node_level)
-        # A path node has one ancestor (an ancestor nested in another lies
-        # inside one of the outer one's maximal descendants), and a maximal
-        # descendant is never on another's path (they are disjoint).
-        path, first = np.unique(nodes, return_index=True)
-        path_anc = np.repeat(anc, depth)[first]
-        inner = node_level[first] < np.repeat(levels[desc], depth)[first]
-        split = np.concatenate([np.flatnonzero(has_desc), path_anc[inner]])
-        split_ids = np.concatenate([uids[has_desc], path[inner]])
-        kids = cellid.children(split_ids).reshape(-1)
-        pos = np.minimum(np.searchsorted(path, kids), len(path) - 1)
-        frag = path[pos] != kids
-        out_cells.append(kids[frag])
-        out_src.append(np.repeat(split, 4)[frag])
-
-    frag_ids = np.concatenate(out_cells)
-    frag_src = np.concatenate(out_src)
-
-    # 5. Attach refs: each fragment takes the refs of its source cell and of
-    #    every ancestor of that source cell (chain via nearest_anc).
-    ref_cell_rows: list[np.ndarray] = []
-    ref_row_idx: list[np.ndarray] = []
-    src = frag_src.copy()
-    frag_no = np.arange(len(frag_ids))
-    alive = np.ones(len(frag_ids), dtype=bool)
-    while alive.any():
-        ref_cell_rows.append(src[alive])
-        ref_row_idx.append(frag_no[alive])
-        nxt = nearest_anc[src[alive]]
-        keep = nxt >= 0
-        idx = frag_no[alive][keep]
-        alive = np.zeros(len(frag_ids), dtype=bool)
-        alive[idx] = True
-        src[idx] = nxt[keep]
-
-    contrib_src = np.concatenate(ref_cell_rows)  # distinct-cell idx
-    contrib_frag = np.concatenate(ref_row_idx)  # fragment idx
-
-    # Expand to individual refs: the refs of distinct cell u are the input
-    # rows with inv == u, grouped once.
-    in_order = np.argsort(inv, kind="stable")
-    in_counts = np.bincount(inv, minlength=n)
-    in_starts = np.concatenate([[0], np.cumsum(in_counts)])
-    per_contrib = in_counts[contrib_src]
-    rep_frag = np.repeat(contrib_frag, per_contrib)
-    # Gather input-row indices for each contribution.
-    base = np.repeat(in_starts[contrib_src], per_contrib)
-    within = np.arange(len(rep_frag)) - np.repeat(
-        np.concatenate([[0], np.cumsum(per_contrib)])[:-1], per_contrib
+    # 2. Split every strict ancestor of an input cell up to its root; the
+    #    output is every input cell or child of a split cell not split.
+    depth = levels - root_level
+    split = np.unique(
+        cellid.parent(np.repeat(uids, depth), _ranges(root_level, depth))
     )
-    rows = in_order[base + within]
+    kids = cellid.children(split).reshape(-1)
+    ids = np.setdiff1d(np.union1d(uids, kids), split, assume_unique=True)
 
-    ref_cell = rep_frag
-    ref_p = poly_ids[rows]
-    ref_i = interior_flags[rows]
-
-    # 6. Sort fragments by id, dedup refs, build ragged arrays.
-    sort_frag = np.argsort(frag_ids, kind="stable")
-    rank = np.empty(len(frag_ids), np.int64)
-    rank[sort_frag] = np.arange(len(frag_ids))
-    ids_sorted = frag_ids[sort_frag]
+    # 3. References: each input row's go to the output cells in its range.
+    a = np.searchsorted(ids, cellid.range_min(cell_ids))
+    b = np.searchsorted(ids, cellid.range_max(cell_ids), side="right")
+    rows = np.repeat(np.arange(len(cell_ids)), b - a)
     offsets, poly_out, int_out = _dedup_refs(
-        rank[ref_cell], ref_p, ref_i, len(frag_ids)
+        _ranges(a, b - a), poly_ids[rows], interior_flags[rows], len(ids)
     )
-    sc = SuperCovering(
-        ids=ids_sorted,
+    return SuperCovering(
+        ids=ids,
         ref_offsets=offsets,
         ref_poly=poly_out,
         ref_interior=int_out,
         extent=extent,
     )
-    return sc
 
 
 def merge_coverings(

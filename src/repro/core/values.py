@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.geometry.polygon import _ranges
+
 TAG_POINTER = 0
 TAG_ONE_REF = 1
 TAG_TWO_REFS = 2
@@ -90,16 +92,6 @@ def encode_values(
     return entries, np.asarray(table, np.int32)
 
 
-def _concat_aranges(counts: np.ndarray) -> np.ndarray:
-    """[arange(c) for c in counts], concatenated, vectorized."""
-    counts = np.asarray(counts, np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, np.int64)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-
-
 def decode_entries(
     entries: np.ndarray, table: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,13 +131,11 @@ def decode_entries(
         nc = table[offs + 1 + nt].astype(np.int64)
         # True-hit section.
         rows.append(np.repeat(many, nt))
-        polys.append(table[np.repeat(offs + 1, nt) + _concat_aranges(nt)].astype(np.int64))
+        polys.append(table[_ranges(offs + 1, nt)].astype(np.int64))
         trues.append(np.ones(int(nt.sum()), bool))
         # Candidate section.
         rows.append(np.repeat(many, nc))
-        polys.append(
-            table[np.repeat(offs + 2 + nt, nc) + _concat_aranges(nc)].astype(np.int64)
-        )
+        polys.append(table[_ranges(offs + 2 + nt, nc)].astype(np.int64))
         trues.append(np.zeros(int(nc.sum()), bool))
 
     if not rows:

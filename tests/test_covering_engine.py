@@ -131,6 +131,32 @@ def test_approx_join_on_one_meter_triangle():
     assert np.all(point_to_polygon_distance(px[fp], py[fp], pset.polygons[0]) <= 4.0)
 
 
+def test_joins_on_triangle_with_edge_through_cell_corners():
+    """The edge y = x runs through the corners of cells, so the parity
+    transport from a boundary cell's parent centre is degenerate. The
+    boundary cell's own centre flag, which its descendants inherit, must
+    come from the full PIP test: the approximate join is then a superset
+    within 4 m and the exact join equals the truth."""
+    poly = Polygon(np.array([128.0, 0.0, 128.0]), np.array([128.0, 0.0, 0.0]))
+    pset = PolygonSet([poly])
+    ids, flags = precision_covering(poly, sd.EXTENT, 12)
+    assert np.all(classify_cells(ids[flags], poly, sd.EXTENT) == INTERIOR)
+    g = np.random.default_rng(0)
+    px, py = g.uniform(0.0, 128.0, 20_000), g.uniform(0.0, 128.0, 20_000)
+    ti, tp = point_in_polygon_set(px, py, pset)
+    truth = set(zip(ti.tolist(), tp.tolist()))
+    for mode, precision, exact in (("approx", 4.0, False), ("accurate", None, True)):
+        bundle = build_index(pset, sd.EXTENT, mode=mode, precision_m=precision)
+        rows, polys, _true, _stats = probe_batch(bundle, px, py, exact=exact)
+        got = set(zip(rows.tolist(), polys.tolist()))
+        if exact:
+            assert got == truth
+        else:
+            assert truth <= got
+            fp = np.array(sorted(p for p, _ in got - truth), np.int64)
+            assert np.all(point_to_polygon_distance(px[fp], py[fp], poly) <= 4.0)
+
+
 @pytest.mark.parametrize("name", sd.POLYGON_DATASETS)
 @pytest.mark.parametrize("mode,precision", [("approx", 4.0), ("accurate", None)])
 def test_coverings_independent_of_batch(name, mode, precision):
