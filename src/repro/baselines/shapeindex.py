@@ -6,7 +6,8 @@ then restricted to the edges stored in the cell: containment of a query
 point is the cell-center's containment flag XOR the parity of crossings of
 the segment point->center with the cell's edges. Cells with no edges of a
 polygon and a positive containment flag are true hits (SI's coarser form
-of true hit filtering, paper §4.2).
+of true hit filtering, paper §4.2). A point whose segment meets an edge
+degenerately (a zero orientation) takes the full PIP test instead.
 
 ``max_edges_per_cell`` controls the grid granularity exactly like S2's
 S2ShapeIndexOptions::max_edges_per_cell (paper: SI1 = 1, SI10 = 10,
@@ -108,13 +109,19 @@ class ShapeIndex:
             for p in cell_polys:
                 pe = eidx[epoly[eidx] == p]
                 edges_tested += len(pts) * len(pe)
-                cross, _ = segments_cross(
+                cross, dg = segments_cross(
                     px[pts, None], py[pts, None], cx, cy,
                     ex1[None, pe], ey1[None, pe], ex2[None, pe], ey2[None, pe],
                 )
                 inside = (cross.sum(axis=1) & 1).astype(bool)
                 if int(p) in cin:
                     inside = ~inside
+                # A degenerate crossing (a point, the centre or an edge
+                # collinear) makes the parity untrustworthy: full PIP test.
+                redo = dg.any(axis=1)
+                inside[redo] = self.pset.contains(
+                    px[pts[redo]], py[pts[redo]], np.full(int(redo.sum()), p)
+                )
                 hit = pts[inside]
                 if len(hit):
                     res_p.append(hit)

@@ -18,7 +18,9 @@ stopping rules. It walks the frontiers of many *covering jobs* (a polygon
 and a stopping rule) together, one quadtree level per step, so the cost of
 a step is paid once per dataset rather than once per polygon (the paper
 parallelizes this phase over polygons). The per-polygon functions are that
-walk over a one-polygon set.
+walk over a one-polygon set; index training and precision refinement
+(``training.py``) are the same walk, :func:`_walk`, from the cells they
+split. :func:`classify_pairs` is the flat test reference, not a build step.
 
 Classification engine
 ---------------------
@@ -54,7 +56,6 @@ from repro.geometry.polygon import (
     PolygonSet,
     _chunks,
     _edge_chunks,
-    _ranges,
     segments_cross,
     segments_intersect_rects,
 )
@@ -105,10 +106,9 @@ def classify_pairs(
     """Classify each cell ``ids[i]`` as OUTSIDE / BOUNDARY / INTERIOR wrt
     polygon ``polys[i]`` of ``pset``.
 
-    Exact but non-hierarchical (tests every edge of the polygon); used for
-    small batches (training refines the 4 children of a cell per
-    referenced polygon) and as the test reference for the hierarchical
-    engine. All pairs are classified in one pass, whatever their polygons.
+    Exact but non-hierarchical (tests every edge of the polygon): the test
+    reference for the hierarchical engine, which no build step calls. All
+    pairs are classified in one pass, whatever their polygons.
     """
     ids = np.asarray(ids, np.int64)
     polys = np.asarray(polys, np.int64)
@@ -188,32 +188,33 @@ def _seed_cells(mbr: np.ndarray, extent: float) -> tuple[np.ndarray, int]:
         level -= 1
 
 
+def _clipped_frontier(
+    cells: np.ndarray, job: np.ndarray, polys: np.ndarray, pset: PolygonSet, extent: float
+) -> _Frontier:
+    """A frontier of ``cells[i]`` for job ``job[i]``: each cell clipped
+    against polygon ``polys[job[i]]`` and its centre tested, in one pass."""
+    poly = polys[job]
+    pair_cell, pair_edge = _clip_to_polygons(cells, poly, pset, extent)
+    return _Frontier(
+        cells=cells,
+        job=job,
+        center_in=_centers_inside(cells, poly, pset, extent),
+        boundary=np.bincount(pair_cell, minlength=len(cells)) > 0,
+        pair_cell=pair_cell,
+        pair_edge=pair_edge,
+    )
+
+
 def _seed_frontier(
     pset: PolygonSet, polys: np.ndarray, extent: float
 ) -> tuple[_Frontier, np.ndarray]:
-    """Every job's classified seed cells, and each job's seed level.
-
-    The seeds are clipped and classified once per distinct polygon; jobs
-    on the same polygon start from copies of them.
-    """
+    """Every job's classified seed cells, and each job's seed level."""
     uniq, inv = np.unique(polys, return_inverse=True)
     seeds = [_seed_cells(pset.mbrs[p], extent) for p in uniq]
-    counts = np.array([len(c) for c, _ in seeds], np.int64)
-    cells = np.concatenate([np.empty(0, np.int64)] + [c for c, _ in seeds])
-    cell_poly = np.repeat(uniq, counts)
-    pair_cell, pair_edge = _clip_to_polygons(cells, cell_poly, pset, extent)
-    center_in = _centers_inside(cells, cell_poly, pset, extent)
-    n_pairs = np.bincount(pair_cell, minlength=len(cells))
-    rows = _ranges(np.cumsum(counts)[inv] - counts[inv], counts[inv])
-    frontier = _Frontier(
-        cells=cells[rows],
-        job=np.repeat(np.arange(len(polys)), counts[inv]),
-        center_in=center_in[rows],
-        boundary=n_pairs[rows] > 0,
-        pair_cell=np.repeat(np.arange(len(rows)), n_pairs[rows]),
-        pair_edge=pair_edge[_ranges(np.cumsum(n_pairs)[rows] - n_pairs[rows], n_pairs[rows])],
-    )
-    return frontier, np.array([lv for _, lv in seeds], np.int64)[inv]
+    cells = [np.empty(0, np.int64)] + [seeds[i][0] for i in inv]
+    job = np.repeat(np.arange(len(polys)), [len(c) for c in cells[1:]])
+    f = _clipped_frontier(np.concatenate(cells), job, polys, pset, extent)
+    return f, np.array([seeds[i][1] for i in inv], np.int64)
 
 
 def _descend(
@@ -291,6 +292,31 @@ def _descend_chunk(
     )
 
 
+def _walk(
+    f: _Frontier, polys: np.ndarray, pset: PolygonSet, extent: float, rule
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk frontier ``f`` down the quadtree, one level per step.
+
+    Each step emits the frontier's interior cells and asks
+    ``rule(f, interior)`` for two masks over the boundary cells: those to
+    split, and those to emit as candidates (the rest are dropped). Job
+    ``j`` covers polygon ``polys[j]``. Returns the emitted
+    ``(cells, jobs, interior_flags)``, level by level.
+    """
+    out_cells, out_job, out_flag = [], [], []
+    while True:
+        interior = ~f.boundary & f.center_in
+        split, keep = rule(f, interior)
+        for mask, flag in ((interior, True), (keep, False)):
+            out_cells.append(f.cells[mask])
+            out_job.append(f.job[mask])
+            out_flag.append(np.full(len(out_job[-1]), flag))
+        split = np.flatnonzero(split)
+        if len(split) == 0:
+            return np.concatenate(out_cells), np.concatenate(out_job), np.concatenate(out_flag)
+        f = _descend(f, split, polys, pset, extent)
+
+
 def cover_polygons(
     pset: PolygonSet,
     polys,
@@ -320,31 +346,23 @@ def cover_polygons(
     keep_boundary = np.broadcast_to(keep_boundary, n)
     f, level = _seed_frontier(pset, polys, extent)
     n_interior = np.zeros(n, np.int64)
-    out_cells, out_job, out_flag = [], [], []
-    while True:
-        interior = ~f.boundary & f.center_in
-        n_interior += np.bincount(f.job[interior], minlength=n)
+
+    def rule(f: _Frontier, interior: np.ndarray):
+        n_interior[:] += np.bincount(f.job[interior], minlength=n)
         n_boundary = np.bincount(f.job[f.boundary], minlength=n)
         stop = (
             (n_boundary == 0)
             | (level >= max_level)
             | (n_interior + 4 * n_boundary > max_cells)
         )
-        last = f.boundary & (stop & keep_boundary)[f.job]
-        for mask, flag in ((interior, True), (last, False)):
-            out_cells.append(f.cells[mask])
-            out_job.append(f.job[mask])
-            out_flag.append(np.full(len(out_job[-1]), flag))
-        split = np.flatnonzero(f.boundary & ~stop[f.job])
-        if len(split) == 0:
-            break
-        f = _descend(f, split, polys, pset, extent)
         level[~stop] += 1
-    job = np.concatenate(out_job)
+        return f.boundary & ~stop[f.job], f.boundary & (stop & keep_boundary)[f.job]
+
+    cells, job, flags = _walk(f, polys, pset, extent, rule)
     order = np.argsort(job, kind="stable")
     offsets = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(job, minlength=n), out=offsets[1:])
-    return np.concatenate(out_cells)[order], np.concatenate(out_flag)[order], offsets
+    return cells[order], flags[order], offsets
 
 
 def _cover_one(

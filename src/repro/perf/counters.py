@@ -8,11 +8,13 @@ so we report the *mechanisms* those counters measure (DESIGN.md §3):
   and cache misses for >L3 structures);
 * ``comparisons``    — key comparisons per point (drives instructions);
 * ``bytes_touched``  — index bytes read per point (drives cache misses);
-* ``ns_per_point``   — measured wall clock per point (cycles analog).
+* ``ns_per_point``   — wall clock per point (cycles analog).
 
-For ACT a node access touches one 8-byte slot; for the B-tree a node access
+The first three are *derived* from each probe's per-point cost array: for
+ACT a node access touches one 8-byte slot; for the B-tree a node access
 touches a 256-byte node; for the sorted vector each binary-search step
-touches an 8-byte key.
+touches an 8-byte key. ``ns_per_point`` is *measured*: the median of
+rounds that time the structures in turn (:func:`interleaved_seconds`).
 """
 from __future__ import annotations
 
@@ -45,49 +47,48 @@ class ProbeCounters:
         }
 
 
-def measure_probe(
-    structure_name: str, index, point_ids: np.ndarray, repeats: int = 3
-) -> ProbeCounters:
-    """Time ``index.probe`` and derive the proxy counters.
+def measure_probes(
+    indexes: dict[str, object], point_ids: np.ndarray, repeats: int
+) -> list[ProbeCounters]:
+    """Time each structure's ``index.probe`` (median of ``repeats`` rounds
+    that probe the structures in turn) and derive the proxy counters.
 
     ``index.probe`` returns (entries, per-point cost array) where the cost
     array is trie depth for ACT, node accesses for the B-tree, and
     comparisons for the sorted vector — normalized here.
     """
-    best = float("inf")
-    entries = cost = None
-    # Small batches are timing-noisy: take more repeats so best-of-N is a
-    # stable per-point estimate.
-    if len(point_ids) < 100_000:
-        repeats = max(repeats, 7)
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        entries, cost = index.probe(point_ids)
-        best = min(best, time.perf_counter() - t0)
-    n = len(point_ids)
-    kind = structure_name.lower()
-    if kind.startswith("act"):
-        node_acc = float((cost + 1).clip(0).mean())  # depth -> accesses
-        comparisons = 1.0  # one tag check per resolved entry; no key cmp
-        bytes_t = node_acc * 8.0  # one 8-byte slot per node
-    elif kind in ("gbt", "btree"):
-        node_acc = float(cost.mean())
-        comparisons = node_acc * 32.0  # linear in-node scan of 32 keys
-        bytes_t = node_acc * 256.0
-    else:  # sorted vector (LB)
-        comparisons = float(cost.mean())
-        node_acc = comparisons  # each comparison is a dependent access
-        bytes_t = comparisons * 8.0
-    ns = best / n * 1e9
-    return ProbeCounters(
-        structure=structure_name,
-        points=n,
-        node_accesses=node_acc,
-        comparisons=comparisons,
-        bytes_touched=bytes_t,
-        ns_per_point=ns,
-        throughput_mpts=n / best / 1e6,
+    seconds, results = interleaved_seconds(
+        [lambda index=index: index.probe(point_ids) for index in indexes.values()],
+        repeats,
     )
+    n = len(point_ids)
+    out = []
+    for structure_name, t, (_entries, cost) in zip(indexes, seconds, results):
+        kind = structure_name.lower()
+        if kind.startswith("act"):
+            node_acc = float((cost + 1).clip(0).mean())  # depth -> accesses
+            comparisons = 1.0  # one tag check per resolved entry; no key cmp
+            bytes_t = node_acc * 8.0  # one 8-byte slot per node
+        elif kind in ("gbt", "btree"):
+            node_acc = float(cost.mean())
+            comparisons = node_acc * 32.0  # linear in-node scan of 32 keys
+            bytes_t = node_acc * 256.0
+        else:  # sorted vector (LB)
+            comparisons = float(cost.mean())
+            node_acc = comparisons  # each comparison is a dependent access
+            bytes_t = comparisons * 8.0
+        out.append(
+            ProbeCounters(
+                structure=structure_name,
+                points=n,
+                node_accesses=node_acc,
+                comparisons=comparisons,
+                bytes_touched=bytes_t,
+                ns_per_point=t / n * 1e9,
+                throughput_mpts=n / t / 1e6,
+            )
+        )
+    return out
 
 
 def interleaved_seconds(

@@ -3,17 +3,22 @@
 The paper reports `perf` hardware counters per point (cycles,
 instructions, branch misses, cache misses) for uniform vs taxi points. We
 report the proxy counters the hardware events measure (DESIGN.md §3):
-node accesses, key comparisons, index bytes touched, and measured
-ns/point. The shapes to preserve: ACT4 < ACT2 < ACT1 < GBT < LB in
-per-point cost, and taxi (clustered) cheaper than uniform on ACT.
+node accesses, key comparisons and index bytes touched are *derived*
+from each probe's per-point cost and a fixed cost model; ns/point and
+throughput are *measured*, the median of rounds that probe the five
+structures in turn. The shapes to preserve: ACT4 < ACT2 < ACT1 < GBT < LB
+in per-point cost, and taxi (clustered) cheaper than uniform on ACT.
 """
 from __future__ import annotations
 
-from repro.perf.counters import measure_probe
+from repro.perf.counters import measure_probes
 from repro.tables import emit, format_rows
 from repro.tables import datasets as ds
 
 STRUCTURES = tuple(ds.STRUCTURES)
+
+#: Timing rounds per scale.
+REPEATS = {"test": 9, "bench": 5}
 
 #: Paper Table 5: {(points, structure): (cycles, instructions,
 #: branch_misses, cache_misses)} per point.
@@ -40,14 +45,14 @@ def run(
     rows = []
     for kind in ("uniform", "taxi"):
         _px, _py, pt = ds.point_cells(kind, scale)
-        for structure in STRUCTURES:
-            bundle = ds.index(
+        indexes = {
+            structure: ds.index(
                 dataset, scale, ds.STRUCTURES[structure], "approx", precision_m, spark
-            )
-            c = measure_probe(structure, bundle.index, pt)
-            row = {"points": kind}
-            row.update(c.as_row())
-            rows.append(row)
+            ).index
+            for structure in STRUCTURES
+        }
+        for c in measure_probes(indexes, pt, REPEATS[scale]):
+            rows.append({"points": kind, **c.as_row()})
     emit(
         format_rows(
             rows,

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import synth_data as sd
+from repro.baselines.shapeindex import build_shapeindex
 from repro.core import cellid
 from repro.core.covering import (
     BOUNDARY,
@@ -136,7 +137,9 @@ def test_joins_on_triangle_with_edge_through_cell_corners():
     transport from a boundary cell's parent centre is degenerate. The
     boundary cell's own centre flag, which its descendants inherit, must
     come from the full PIP test: the approximate join is then a superset
-    within 4 m and the exact join equals the truth."""
+    within 4 m and the exact join equals the truth. The shape index's
+    point-to-centre parity is degenerate there too, and its SI1 and SI10
+    joins must fall back to the full PIP test to equal the truth."""
     poly = Polygon(np.array([128.0, 0.0, 128.0]), np.array([128.0, 0.0, 0.0]))
     pset = PolygonSet([poly])
     ids, flags = precision_covering(poly, sd.EXTENT, 12)
@@ -155,6 +158,11 @@ def test_joins_on_triangle_with_edge_through_cell_corners():
             assert truth <= got
             fp = np.array(sorted(p for p, _ in got - truth), np.int64)
             assert np.all(point_to_polygon_distance(px[fp], py[fp], poly) <= 4.0)
+    for extent in (sd.EXTENT, 128.0):
+        for max_edges in (1, 10):
+            si = build_shapeindex(pset, extent, max_edges_per_cell=max_edges)
+            rows, polys, _stats = si.join(px, py)
+            assert set(zip(rows.tolist(), polys.tolist())) == truth
 
 
 @pytest.mark.parametrize("name", sd.POLYGON_DATASETS)

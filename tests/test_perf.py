@@ -9,7 +9,7 @@ from repro.core.covering import precision_covering
 from repro.core.supercovering import merge_coverings
 from repro.baselines.btree import build_btree
 from repro.baselines.sorted_vector import build_sorted_vector
-from repro.perf.counters import ProbeCounters, measure_probe
+from repro.perf.counters import ProbeCounters, measure_probes
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +28,7 @@ class TestMeasureProbe:
     def test_act_counters(self, setup):
         sc, pt = setup
         act = build_act(sc, 4)
-        c = measure_probe("ACT4", act, pt, repeats=1)
+        c = measure_probes({"ACT4": act}, pt, 1)[0]
         assert isinstance(c, ProbeCounters)
         assert 1.0 <= c.node_accesses <= act.max_depth + 1
         assert c.bytes_touched == pytest.approx(c.node_accesses * 8)
@@ -38,7 +38,7 @@ class TestMeasureProbe:
     def test_btree_counters(self, setup):
         sc, pt = setup
         bt = build_btree(sc)
-        c = measure_probe("GBT", bt, pt, repeats=1)
+        c = measure_probes({"GBT": bt}, pt, 1)[0]
         assert c.node_accesses == bt.n_levels
         assert c.bytes_touched == pytest.approx(bt.n_levels * 256)
         assert c.comparisons == pytest.approx(bt.n_levels * 32)
@@ -46,13 +46,13 @@ class TestMeasureProbe:
     def test_lb_counters(self, setup):
         sc, pt = setup
         lb = build_sorted_vector(sc)
-        c = measure_probe("LB", lb, pt, repeats=1)
+        c = measure_probes({"LB": lb}, pt, 1)[0]
         assert c.comparisons == int(np.ceil(np.log2(sc.n_cells))) + 2
         assert c.bytes_touched == pytest.approx(c.comparisons * 8)
 
     def test_as_row_keys(self, setup):
         sc, pt = setup
-        c = measure_probe("ACT1", build_act(sc, 1), pt, repeats=1)
+        c = measure_probes({"ACT1": build_act(sc, 1)}, pt, 1)[0]
         row = c.as_row()
         assert set(row) == {
             "index",
@@ -65,5 +65,5 @@ class TestMeasureProbe:
 
     def test_ns_consistent_with_throughput(self, setup):
         sc, pt = setup
-        c = measure_probe("ACT2", build_act(sc, 2), pt, repeats=2)
+        c = measure_probes({"ACT2": build_act(sc, 2)}, pt, 2)[0]
         assert c.ns_per_point == pytest.approx(1e3 / c.throughput_mpts, rel=1e-6)

@@ -1,6 +1,10 @@
 """Tests for index training (§3.3.1) and precision refinement (§3.2)."""
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import synth_data as sd
 from repro.core import cellid
@@ -12,10 +16,9 @@ from repro.core.covering import (
     budgeted_covering,
     budgeted_interior_covering,
     classify_cells,
-    classify_pairs,
 )
-from repro.core.training import _split_expensive_cells, refine_to_precision, train_index
-from repro.geometry.polygon import point_in_polygon_set
+from repro.core.training import refine_to_precision, train_index
+from repro.geometry.polygon import Polygon, PolygonSet, point_in_polygon_set
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +65,6 @@ class TestTraining:
         assert sc.n_cells > accurate_sc.n_cells
         assert stats.rounds > 0
         assert stats.cells_refined > 0
-        assert stats.n_cells_history[0] == accurate_sc.n_cells
 
     def test_increases_sth(self, accurate_sc, trained, neigh):
         """Training raises the solely-true-hit rate (paper Table 7)."""
@@ -106,17 +108,21 @@ class TestTraining:
         sc2, _ = train_index(accurate_sc, neigh, tx, ty)
         assert sc.n_cells < sc2.n_cells
 
-    def test_max_rounds_zero_is_noop(self, accurate_sc, neigh):
+    def test_exhausted_budget_is_noop(self, accurate_sc, neigh):
         tx, ty = sd.taxi_points(1_000, seed=1)
-        sc, stats = train_index(accurate_sc, neigh, tx, ty, max_rounds=0)
-        assert sc.n_cells == accurate_sc.n_cells and stats.rounds == 0
+        sc, stats = train_index(accurate_sc, neigh, tx, ty, max_cells=accurate_sc.n_cells)
+        assert sc is accurate_sc and stats.rounds == 0
 
     def test_training_converges(self, accurate_sc, neigh):
-        """With unbounded rounds, training reaches a fixpoint where no
-        training point hits an expensive cell below max_level."""
+        """Training reaches a fixpoint: no training point hits an expensive
+        cell below max_level."""
         tx, ty = sd.taxi_points(500, seed=2)
-        sc, stats = train_index(accurate_sc, neigh, tx, ty, max_rounds=1000)
-        assert stats.rounds < 1000
+        sc, stats = train_index(accurate_sc, neigh, tx, ty, max_level=20)
+        assert stats.rounds > 0
+        pt = cellid.cell_from_point(tx, ty, sc.extent)
+        hit = cellid.locate(sc.ids, pt, np.searchsorted(sc.ids, pt))
+        hit = hit[hit >= 0]
+        assert not np.any(sc.candidate_mask()[hit] & (sc.levels()[hit] < 20))
 
 
 class TestRefineToPrecision:
@@ -202,29 +208,128 @@ def merge_split(sc, cell_idx, pset):
     )
 
 
+def by_rounds(sc, pset, pick):
+    """The reference refinement: rounds of ``merge_split`` over every
+    candidate cell that ``pick(sc)`` selects, until none is left. Returns
+    the covering, the number of rounds and the cells split."""
+    rounds = refined = 0
+    while len(split := np.flatnonzero(sc.candidate_mask() & pick(sc))):
+        sc = merge_split(sc, split, pset)
+        rounds += 1
+        refined += len(split)
+    return sc, rounds, refined
+
+
+def hit_by(tx, ty, max_level=cellid.MAX_LEVEL - 2):
+    """``pick`` for training: cells below ``max_level`` a point hits."""
+    pt = cellid.cell_from_point(tx, ty, sd.EXTENT)
+
+    def pick(sc):
+        hit = cellid.locate(sc.ids, pt, np.searchsorted(sc.ids, pt))
+        mask = np.zeros(sc.n_cells, dtype=bool)
+        mask[hit[hit >= 0]] = True
+        return mask & (sc.levels() < max_level)
+
+    return pick
+
+
+def coarser_than(precision_m):
+    """``pick`` for precision refinement."""
+    target = cellid.min_level_for_precision(precision_m, sd.EXTENT)
+    return lambda sc: sc.levels() < target
+
+
+def assert_same(got, want):
+    for field in ("ids", "ref_offsets", "ref_poly", "ref_interior"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+        assert getattr(got, field).dtype == getattr(want, field).dtype
+
+
+def assert_refinement_equals_rounds(sc, pset, tx, ty, precisions):
+    """Returns the trained covering."""
+    got, stats = train_index(sc, pset, tx, ty)
+    want, rounds, refined = by_rounds(sc, pset, hit_by(tx, ty))
+    assert_same(got, want)
+    assert (stats.rounds, stats.cells_refined) == (rounds, refined)
+    for precision in precisions:
+        want, _, _ = by_rounds(sc, pset, coarser_than(precision))
+        assert_same(refine_to_precision(sc, pset, precision), want)
+    return got
+
+
 @pytest.mark.parametrize("name", ["neighborhoods", "boroughs"])
 def test_split_equals_merge(name):
-    """The splice equals re-merging, array for array, for random splits.
-    Each split includes cells with true refs none of whose children keeps
-    a candidate ref: those stay whole."""
+    """One descent from the split cells equals rounds of "split every
+    selected cell by one level, re-merge", array for array and with the
+    same statistics, for training and for precision refinement."""
     pset = sd.polygon_dataset(name, scale="test")
     sc = merge_coverings(compute_coverings(pset, sd.EXTENT, "accurate"), sd.EXTENT)
-    ref_cell = np.repeat(np.arange(sc.n_cells), sc.ref_counts())
-    cand = np.flatnonzero(~sc.ref_interior)
-    kids = cellid.children(sc.ids[ref_cell[cand]]).reshape(-1)
-    cls = classify_pairs(kids, np.repeat(sc.ref_poly[cand], 4), pset, sc.extent)
-    keeps_cand = np.zeros(sc.n_cells, dtype=bool)
-    keeps_cand[ref_cell[cand][(cls.reshape(-1, 4) != OUTSIDE).any(axis=1)]] = True
-    has_true = np.bincount(ref_cell[sc.ref_interior], minlength=sc.n_cells) > 0
-    stays_whole = np.flatnonzero(sc.candidate_mask() & has_true & ~keeps_cand)
-    assert len(stays_whole) > 0
-    rng = np.random.default_rng(5)
-    for size in (1, sc.n_cells // 50, sc.n_cells // 3):
-        idx = np.union1d(
-            rng.choice(sc.n_cells, size, replace=False), rng.choice(stays_whole, 3)
-        )
-        got = _split_expensive_cells(sc, idx, pset)
-        want = merge_split(sc, idx, pset)
-        for field in ("ids", "ref_offsets", "ref_poly", "ref_interior"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
-            assert getattr(got, field).dtype == getattr(want, field).dtype
+    tx, ty = sd.taxi_points(10_000, seed=1)
+    assert_refinement_equals_rounds(sc, pset, tx, ty, (60.0, 15.0))
+
+
+@st.composite
+def small_polygon_sets(draw):
+    """One to four random triangles, 5 m to 1 km across, that may overlap,
+    in a 2 km window."""
+    x0 = draw(st.floats(0.0, sd.EXTENT - 2000.0))
+    y0 = draw(st.floats(0.0, sd.EXTENT - 2000.0))
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.floats(5.0, 1000.0))
+        ox, oy = draw(st.floats(0.0, 1000.0)), draw(st.floats(0.0, 1000.0))
+        # One vertex in each of the lower-left, lower-right and top parts
+        # of the square, so few triangles are near-degenerate.
+        u = np.array(draw(st.lists(st.floats(0.0, 0.5), min_size=6, max_size=6)))
+        u += [0.0, 0.5, 0.0, 0.0, 0.0, 0.5]
+        u[2] *= 2
+        poly = Polygon(x0 + ox + size * u[:3], y0 + oy + size * u[3:])
+        assume(abs(poly.area()) > 1e-3 * size * size)
+        polys.append(poly)
+    return PolygonSet(polys), x0, y0
+
+
+@given(small_polygon_sets(), st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_refinement_equals_rounds_on_random_polygons(polygons, seed):
+    """On random small polygon sets the descent equals the round-by-round
+    reference, and the trained exact join equals the untrained one, also
+    for points on polygon vertices."""
+    pset, x0, y0 = polygons
+    sc = merge_coverings(compute_coverings(pset, sd.EXTENT, "accurate"), sd.EXTENT)
+    g = np.random.default_rng(seed)
+    # Uniform points, and points clustered around the polygons' vertices.
+    near = np.repeat(np.arange(len(pset.edge_x1)), 50)
+    tx, ty = (
+        np.concatenate([o + g.uniform(0, 2000, 200), v[near] + g.normal(0, 20, len(near))])
+        for o, v in ((x0, pset.edge_x1), (y0, pset.edge_y1))
+    )
+    trained = assert_refinement_equals_rounds(sc, pset, tx, ty, (60.0,))
+    qx = np.concatenate([x0 + g.uniform(0, 2000, 2000), pset.edge_x1])
+    qy = np.concatenate([y0 + g.uniform(0, 2000, 2000), pset.edge_y1])
+    joins = []
+    for cov in (sc, trained):
+        bundle = build_index(pset, sd.EXTENT, mode="accurate", precision_m=None, supercov=cov)
+        rows, polys, _t, _s = probe_batch(bundle, qx, qy, exact=True)
+        joins.append(set(zip(rows.tolist(), polys.tolist())))
+    assert joins[0] == joins[1]
+
+
+def test_build_has_one_classifier(monkeypatch):
+    """Every build path classifies cells with the covering descent alone:
+    the flat reference ``classify_pairs`` is never called."""
+
+    def flat_classifier(*args):
+        raise AssertionError("classify_pairs called by the build")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro."):
+            if hasattr(module, "classify_pairs"):
+                monkeypatch.setattr(module, "classify_pairs", flat_classifier)
+    pset = sd.polygon_dataset("neighborhoods", scale="test")
+    build_index(pset, sd.EXTENT, mode="approx", precision_m=4.0)
+    build_index(pset, sd.EXTENT, mode="accurate", precision_m=None)
+    sc = merge_coverings(compute_coverings(pset, sd.EXTENT, "accurate"), sd.EXTENT)
+    tx, ty = sd.taxi_points(2_000, seed=1)
+    assert train_index(sc, pset, tx, ty)[1].rounds > 0
+    assert refine_to_precision(sc, pset, 15.0).n_cells > sc.n_cells
