@@ -1,9 +1,8 @@
 """spark-submit entrypoint: end-to-end Spark point-polygon join.
 
-Builds the polygon index (covering phase distributed over Spark), joins a
-synthetic point DataFrame against it with the approximate or accurate
-algorithm, and prints the per-polygon counts the paper's probe phase
-computes.
+Builds the polygon index on the driver, joins a synthetic point DataFrame
+against it with the approximate or accurate algorithm, and prints the
+per-polygon counts the paper's probe phase computes.
 
 Usage: spark-submit jobs/spatial_join.py [--dataset neighborhoods]
        [--mode approx|accurate] [--precision 4] [--points 1000000]
@@ -34,7 +33,6 @@ def main() -> None:
             mode=args.mode,
             precision_m=args.precision if args.mode == "approx" else None,
             structure="act4",
-            spark=spark,
         )
         points = sd.points_df(spark, args.kind, args.points)
         joined = spatial_join(spark, points, bundle)

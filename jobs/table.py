@@ -1,11 +1,11 @@
-"""spark-submit entrypoint reproducing one of Tables 1-7 of the paper.
+"""Command-line entrypoint reproducing one of Tables 1-7 of the paper.
 
-Usage: spark-submit jobs/table.py N [--scale test|bench]
+The table harnesses run on the driver alone, so no SparkSession is started.
+
+Usage: python jobs/table.py N [--scale test|bench]
 """
 import argparse
 import importlib
-
-from pyspark.sql import SparkSession
 
 
 def parser() -> argparse.ArgumentParser:
@@ -17,12 +17,7 @@ def parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> None:
     args = parser().parse_args(argv)
-    table = importlib.import_module(f"repro.tables.table{args.table}")
-    spark = SparkSession.builder.appName(f"repro-table{args.table}").getOrCreate()
-    try:
-        table.run(spark=spark, scale=args.scale)
-    finally:
-        spark.stop()
+    importlib.import_module(f"repro.tables.table{args.table}").run(scale=args.scale)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ baseline slow on complex polygons (boroughs).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +29,7 @@ class RTreeLevel:
 class RTreeIndex:
     levels: list[RTreeLevel]  # root level first
     leaf_ids: np.ndarray  # polygon ids in STR order
-
-    def nbytes(self) -> int:
-        return int(
-            self.leaf_ids.nbytes
-            + sum(
-                l.bounds.nbytes + l.child_start.nbytes + l.child_count.nbytes
-                for l in self.levels
-            )
-        )
+    leaf_bounds: np.ndarray  # (n_leaves, 4): their MBRs, in the same order
 
     def query_points(
         self, px: np.ndarray, py: np.ndarray
@@ -71,16 +63,13 @@ class RTreeIndex:
             else:
                 # Children are leaf entries (polygon MBRs).
                 keep = (
-                    (px[rep_pts] >= self._leaf_bounds[child, 0])
-                    & (px[rep_pts] <= self._leaf_bounds[child, 2])
-                    & (py[rep_pts] >= self._leaf_bounds[child, 1])
-                    & (py[rep_pts] <= self._leaf_bounds[child, 3])
+                    (px[rep_pts] >= self.leaf_bounds[child, 0])
+                    & (px[rep_pts] <= self.leaf_bounds[child, 2])
+                    & (py[rep_pts] >= self.leaf_bounds[child, 1])
+                    & (py[rep_pts] <= self.leaf_bounds[child, 3])
                 )
                 return rep_pts[keep], self.leaf_ids[child[keep]], node_accesses
         return np.empty(0, np.int64), np.empty(0, np.int64), node_accesses
-
-    # Filled by the builder: MBRs of leaf entries in STR order.
-    _leaf_bounds: np.ndarray = field(default=None, repr=False)
 
 
 def _str_pack(bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,9 +133,7 @@ def build_rtree(pset: PolygonSet) -> RTreeIndex:
             child_count=lvl.child_count[order2],
         )
         levels.insert(0, level_over(len(order2), nb2))
-    idx = RTreeIndex(levels=levels, leaf_ids=leaf_ids)
-    idx._leaf_bounds = leaf_bounds
-    return idx
+    return RTreeIndex(levels=levels, leaf_ids=leaf_ids, leaf_bounds=leaf_bounds)
 
 
 def rtree_join(

@@ -53,15 +53,6 @@ class ShapeIndex:
     extent: float
     max_edges_per_cell: int
 
-    def nbytes(self) -> int:
-        return int(
-            self.ids.nbytes
-            + self.edge_offsets.nbytes
-            + self.edge_idx.nbytes
-            + self.cin_offsets.nbytes
-            + self.cin_poly.nbytes
-        )
-
     def locate(self, point_ids: np.ndarray) -> np.ndarray:
         """Index of the containing cell per point (-1 = none)."""
         point_ids = np.asarray(point_ids, np.int64)

@@ -157,27 +157,6 @@ def children(ids: np.ndarray) -> np.ndarray:
     return base + _I64(2) * k * clsb[..., None]
 
 
-def descendants(ids: np.ndarray, to_level: int) -> np.ndarray:
-    """All descendants of each cell at ``to_level``; shape (n, 4**dl).
-
-    Every input cell must be at the same level (< ``to_level``).
-    """
-    ids = _as_i64(np.atleast_1d(ids))
-    lv = level_of(ids)
-    if ids.size and not np.all(lv == lv[0]):
-        raise ValueError("descendants() requires uniform input level")
-    dl = to_level - int(lv[0]) if ids.size else 0
-    if dl < 0:
-        raise ValueError("to_level must be >= cell level")
-    if dl == 0:
-        return ids[:, None].copy()
-    lsb = lsb_of(ids)
-    dlsb = _I64(1) << _I64(2 * (MAX_LEVEL - to_level))
-    base = (ids - lsb + dlsb)[:, None]
-    k = np.arange(4**dl, dtype=_I64)
-    return base + _I64(2) * k[None, :] * dlsb
-
-
 def path_bits(ids: np.ndarray) -> np.ndarray:
     """60-bit MSB-aligned quadtree path (bits [60-2*level, 60) significant)."""
     ids = _as_i64(ids)

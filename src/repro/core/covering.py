@@ -1,26 +1,24 @@
 """Quadtree coverings of polygons (substitute for ``S2RegionCoverer``).
 
-Two covering styles, matching the paper's two join modes:
+Every covering comes from one descent, :func:`cover_polygons`. It walks
+the frontiers of many *covering jobs* (a polygon and a stopping rule)
+together, one quadtree level per step, so the cost of a step is paid once
+per dataset rather than once per polygon (the paper parallelizes this
+phase over polygons). The stopping rules give the paper's two join modes
+their coverings (``join.compute_coverings``):
 
-* :func:`budgeted_covering` / :func:`budgeted_interior_covering` mimic S2's
-  cell-budgeted coverer (paper §3.4 default config). These are the coarse
-  approximations the **accurate** join starts from; covering and interior
-  covering overlap, so merging them exercises the paper's precision-
-  preserving conflict resolution (Listing 1 / Figure 4).
+* the **approximate** join's precision-guaranteed covering (§3.2): a
+  normalized partition with interior cells at adaptive (coarse) levels and
+  boundary cells at the precision level (finer for a polygon smaller than
+  one such cell), so no boundary cell's diagonal exceeds the bound;
+* the **accurate** join's S2-style cell-budgeted covering and interior
+  covering (paper §3.4 default config, ``join.ACCURATE_COVERER_CFG``).
+  They overlap, so merging them exercises the paper's precision-preserving
+  conflict resolution (Listing 1 / Figure 4).
 
-* :func:`precision_covering` classifies space down to a fixed boundary
-  level, producing a normalized partition: interior cells at adaptive
-  (coarse) levels, boundary cells at ``boundary_level``. This is the
-  **approximate** join's precision-guaranteed covering (§3.2).
-
-All of them come from one descent, :func:`cover_polygons`, with different
-stopping rules. It walks the frontiers of many *covering jobs* (a polygon
-and a stopping rule) together, one quadtree level per step, so the cost of
-a step is paid once per dataset rather than once per polygon (the paper
-parallelizes this phase over polygons). The per-polygon functions are that
-walk over a one-polygon set; index training and precision refinement
-(``training.py``) are the same walk, :func:`_walk`, from the cells they
-split. :func:`classify_pairs` is the flat test reference, not a build step.
+Index training and precision refinement (``training.py``) are the same
+walk, :func:`_walk`, from the cells they split. :func:`classify_pairs` is
+the flat test reference, not a build step.
 
 Classification engine
 ---------------------
@@ -52,7 +50,6 @@ import numpy as np
 from repro.core import cellid
 from repro.geometry.polygon import (
     _PAIR_CHUNK,
-    Polygon,
     PolygonSet,
     _chunks,
     _edge_chunks,
@@ -119,12 +116,6 @@ def classify_pairs(
     inside = _centers_inside(ids[rest], polys[rest], pset, extent)
     out[rest] = np.where(inside, INTERIOR, OUTSIDE)
     return out
-
-
-def classify_cells(ids: np.ndarray, poly: Polygon, extent: float) -> np.ndarray:
-    """:func:`classify_pairs` of every cell against one polygon."""
-    ids = np.asarray(ids, np.int64)
-    return classify_pairs(ids, np.zeros(len(ids), np.int64), PolygonSet([poly]), extent)
 
 
 @dataclass
@@ -363,57 +354,3 @@ def cover_polygons(
     offsets = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(job, minlength=n), out=offsets[1:])
     return cells[order], flags[order], offsets
-
-
-def _cover_one(
-    poly: Polygon, extent: float, max_level: int, max_cells: float, keep_boundary: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    cells, flags, _ = cover_polygons(
-        PolygonSet([poly]), [0], extent, max_level, max_cells, keep_boundary
-    )
-    return cells, flags
-
-
-def precision_covering(
-    poly: Polygon,
-    extent: float,
-    boundary_level: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Partition-style covering with a precision guarantee (paper §3.2).
-
-    Returns ``(cell_ids, interior_flags)``: interior cells at adaptive
-    levels (coarse in the middle of the polygon, emitted as soon as a cell
-    is fully inside), boundary cells at ``boundary_level``, or finer for a
-    polygon smaller than such a cell, so no boundary cell diagonal exceeds
-    ``sqrt(2) * extent / 2**boundary_level``.
-    """
-    return _cover_one(poly, extent, boundary_level, np.inf, keep_boundary=True)
-
-
-def budgeted_covering(
-    poly: Polygon,
-    extent: float,
-    max_cells: int = 256,
-    max_level: int = 16,
-) -> np.ndarray:
-    """S2-style covering: union of cells ⊇ polygon, ≈``max_cells`` budget.
-
-    Cells fully inside stop refining immediately (they are part of the
-    covering); boundary cells refine while the budget allows, else are
-    emitted coarse. Mirrors S2RegionCoverer's max_cells/max_level knobs.
-    """
-    return _cover_one(poly, extent, max_level, max_cells, keep_boundary=True)[0]
-
-
-def budgeted_interior_covering(
-    poly: Polygon,
-    extent: float,
-    max_cells: int = 1024,
-    max_level: int = 13,
-) -> np.ndarray:
-    """S2-style interior covering: union of cells ⊆ polygon (true hits).
-
-    Boundary-intersecting cells refine while the budget allows and are
-    *dropped* at the end — only fully-contained cells are emitted.
-    """
-    return _cover_one(poly, extent, max_level, max_cells, keep_boundary=False)[0]

@@ -4,11 +4,11 @@ The paper's join (Listing 3) is an index-nested-loop join: probe ACT per
 point, emit true hits directly, and either emit candidate hits as-is
 (approximate mode, §3.2) or refine them with exact PIP tests (accurate
 mode, §3.3). Polygons are small and static (the paper's setting), so the
-index is built on the driver — optionally with the per-polygon covering
-phase distributed over Spark, mirroring the paper's parallelized covering
-computation — broadcast to the executors, and probed per partition in a
-``mapInArrow`` kernel (a DataFrame -> DataFrame physical operator; see
-DESIGN.md §5 for why a JVM operator is out of scope).
+index is built on the driver, by one covering descent over all polygons
+(the paper parallelizes the covering phase over polygons), broadcast to
+the executors, and probed per partition in a ``mapInArrow`` kernel (a
+DataFrame -> DataFrame physical operator; see DESIGN.md §5 for why a JVM
+operator is out of scope).
 
 A bundle is broadcast once per ``SparkContext`` and the broadcast is
 shared by every query on it, so a warm query pays neither the pickling nor
@@ -91,35 +91,6 @@ class PolygonIndexBundle:
         return state
 
 
-def _cover(
-    pset: PolygonSet, pids: np.ndarray, extent: float, mode: str, boundary_level: int | None
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """``(pid, cell ids, interior flags)`` of each polygon in ``pids``, from
-    one descent over them all (``covering.cover_polygons``)."""
-    if mode == "approx":
-        cells, flags, offs = cover_polygons(pset, pids, extent, boundary_level, np.inf, True)
-        return [
-            (int(p), cells[offs[k] : offs[k + 1]], flags[offs[k] : offs[k + 1]])
-            for k, p in enumerate(pids)
-        ]
-    # Job k is polygon pids[k]'s covering, job n + k its interior covering.
-    n = len(pids)
-    cfg = ACCURATE_COVERER_CFG
-    cells, _, offs = cover_polygons(
-        pset,
-        np.concatenate([pids, pids]),
-        extent,
-        np.repeat([cfg["max_covering_level"], cfg["max_interior_level"]], n),
-        np.repeat([cfg["max_covering_cells"], cfg["max_interior_cells"]], n),
-        np.repeat([True, False], n),
-    )
-    out = []
-    for k, p in enumerate(pids):
-        c, i = cells[offs[k] : offs[k + 1]], cells[offs[n + k] : offs[n + k + 1]]
-        out.append((int(p), np.concatenate([c, i]), np.arange(len(c) + len(i)) >= len(c)))
-    return out
-
-
 def _drop_zip_importers() -> None:
     """Evict the zip importers from ``sys.path_importer_cache``.
 
@@ -147,43 +118,39 @@ def compute_coverings(
     extent: float,
     mode: str,
     precision_m: float | None = None,
-    spark: SparkSession | None = None,
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Per-polygon (covering, interior covering) cells.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every polygon's (covering, interior covering) cells, as flat
+    reference rows ``(cell_ids, poly_ids, interior_flags)``.
 
     ``mode='approx'`` computes precision-partition coverings whose boundary
     cells sit at the level implied by ``precision_m``;
     ``mode='accurate'`` computes the coarse budgeted S2-style coverings
-    (``ACCURATE_COVERER_CFG``). One descent covers all polygons together.
-    When ``spark`` is given, the polygon ids are partitioned and each
-    partition runs that descent over its polygons (the paper parallelizes
-    this phase over polygons too); either way the result has one entry per
-    polygon, in id order, and does not depend on how polygons are batched.
+    (``ACCURATE_COVERER_CFG``). One descent (``covering.cover_polygons``)
+    covers all polygons together; a polygon's rows do not depend on which
+    other polygons are covered with it.
     """
+    n = len(pset)
+    pids = np.arange(n)
     if mode == "approx":
         if precision_m is None:
             raise ValueError("approx mode needs a precision bound")
-        boundary_level = cellid.min_level_for_precision(precision_m, extent)
-    elif mode == "accurate":
-        boundary_level = None
-    else:
+        level = cellid.min_level_for_precision(precision_m, extent)
+        cells, flags, offs = cover_polygons(pset, pids, extent, level, np.inf, True)
+        return cells, np.repeat(pids, np.diff(offs)), flags
+    if mode != "accurate":
         raise ValueError(f"unknown mode {mode!r}")
-
-    if spark is None:
-        return _cover(pset, np.arange(len(pset)), extent, mode, boundary_level)
-    sc = spark.sparkContext
-    bc = sc.broadcast(pset)
-
-    def cover(pids):
-        try:
-            return _cover(bc.value, np.fromiter(pids, np.int64), extent, mode, boundary_level)
-        finally:
-            _drop_zip_importers()
-
-    try:
-        return sc.parallelize(range(len(pset)), sc.defaultParallelism * 2).mapPartitions(cover).collect()
-    finally:
-        bc.destroy()
+    # Job k is polygon k's covering, job n + k its interior covering.
+    cfg = ACCURATE_COVERER_CFG
+    cells, _, offs = cover_polygons(
+        pset,
+        np.concatenate([pids, pids]),
+        extent,
+        np.repeat([cfg["max_covering_level"], cfg["max_interior_level"]], n),
+        np.repeat([cfg["max_covering_cells"], cfg["max_interior_cells"]], n),
+        np.repeat([True, False], n),
+    )
+    job = np.repeat(np.arange(2 * n), np.diff(offs))
+    return cells, job % n, job >= n
 
 
 _STRUCTURES = {
@@ -201,24 +168,27 @@ def build_index(
     mode: str = "approx",
     precision_m: float | None = 4.0,
     structure: str = "act4",
-    spark: SparkSession | None = None,
     supercov: SuperCovering | None = None,
 ) -> PolygonIndexBundle:
     """Full index build pipeline: coverings -> super covering -> structure.
 
     Pass a pre-built (e.g. trained, §3.3.1) ``supercov`` to skip the
-    covering phases.
+    covering phases. ``structure`` and ``mode`` are checked before any
+    covering is computed.
     """
+    build = _STRUCTURES[structure]
+    if mode not in ("approx", "accurate"):
+        raise ValueError(f"unknown mode {mode!r}")
     times: dict[str, float] = {}
     if supercov is None:
         t0 = time.perf_counter()
-        covs = compute_coverings(pset, extent, mode, precision_m, spark)
+        rows = compute_coverings(pset, extent, mode, precision_m)
         times["coverings"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        supercov = merge_coverings(covs, extent)
+        supercov = merge_coverings(rows, extent)
         times["supercovering"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    index = _STRUCTURES[structure](supercov)
+    index = build(supercov)
     times["structure"] = time.perf_counter() - t0
     return PolygonIndexBundle(
         structure=structure,

@@ -159,20 +159,8 @@ def build_supercovering(
 
 
 def merge_coverings(
-    coverings: list[tuple[int, np.ndarray, np.ndarray]], extent: float
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray], extent: float
 ) -> SuperCovering:
-    """Build a super covering from per-polygon coverings.
-
-    ``coverings`` holds ``(poly_id, cell_ids, interior_flags)`` triples (one
-    per polygon; boundary cells have flag False, interior cells True).
-    """
-    if not coverings:
-        return build_supercovering(
-            np.empty(0, np.int64), np.empty(0, np.int32), np.empty(0, bool), extent
-        )
-    cells = np.concatenate([c for _, c, _ in coverings])
-    polys = np.concatenate(
-        [np.full(len(c), pid, np.int32) for pid, c, _ in coverings]
-    )
-    flags = np.concatenate([f for _, _, f in coverings])
-    return build_supercovering(cells, polys, flags, extent)
+    """Build a super covering from flat covering rows
+    ``(cell_ids, poly_ids, interior_flags)`` (``join.compute_coverings``)."""
+    return build_supercovering(*rows, extent)

@@ -358,8 +358,9 @@ def point_to_polygon_distance(
 ) -> np.ndarray:
     """Distance from points to the polygon (0 if inside).
 
-    Used only in tests: the approximate join's false positives must lie
-    within the precision bound of the polygon (paper §3.2).
+    Checks the approximate join's precision bound (paper §3.2): its false
+    positives must lie within the bound of the polygon. The tests and the
+    benchmark's result check (``perfbench/check.py``) use it; no join does.
     """
     px = np.asarray(px, np.float64)
     py = np.asarray(py, np.float64)

@@ -1,10 +1,11 @@
 """Per-table reproduction harnesses (Tables 1-7 of the paper).
 
-Each ``tableN`` module exposes ``run(spark=None, scale='test'|'bench')``
-returning the measured rows and printing a paper-shaped table, plus a
-``PAPER`` constant with the numbers the paper reports (diffed in
-EXPERIMENTS.md). ``jobs/table.py N`` wraps table N for spark-submit;
-``benchmarks/bench_tables.py`` regenerates them under pytest-benchmark.
+Each ``tableN`` module exposes ``run(scale='test'|'bench')`` returning
+the measured rows and printing a paper-shaped table, plus a ``PAPER``
+constant with the numbers the paper reports (diffed in EXPERIMENTS.md).
+The harnesses run on the driver alone. ``python jobs/table.py N`` runs
+table N from the command line; ``benchmarks/bench_tables.py`` regenerates
+them under pytest-benchmark.
 """
 from __future__ import annotations
 

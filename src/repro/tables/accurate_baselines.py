@@ -34,18 +34,16 @@ N_QUERY = {"test": 5_000, "bench": 100_000}
 REPEATS = {"test": 9, "bench": 3}
 
 
-def run(spark=None, scale: str = "test") -> list[dict]:
+def run(scale: str = "test") -> list[dict]:
     n = N_QUERY[scale]
     px, py, _ = ds.point_cells("taxi", scale, n=n, seed=7)
     rows = []
     for name in ("boroughs", "neighborhoods", "census"):
         pset = ds.polygons(name, scale)
         # ACT4 accurate (untrained) — same config as Figure 10.
-        bundle = ds.accurate_index(name, scale, n_train=0, spark=spark)
+        bundle = ds.accurate_index(name, scale, n_train=0)
         # Trained ACT4 (largest training size) for the PIP-reduction claim.
-        trained = ds.accurate_index(
-            name, scale, n_train=ds.TRAIN_SIZES[scale][-1], spark=spark
-        )
+        trained = ds.accurate_index(name, scale, n_train=ds.TRAIN_SIZES[scale][-1])
         _r2, _p2, _t2, tr_stats = probe_batch(trained, px, py, exact=True)
         # R-tree filter & refine.
         rt = build_rtree(pset)

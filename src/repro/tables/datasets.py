@@ -50,17 +50,17 @@ def point_cells(kind: str, scale: str, n: int | None = None, seed: int = 7):
 
 
 def supercovering(
-    name: str, scale: str, mode: str, precision_m: float | None = None, spark=None
+    name: str, scale: str, mode: str, precision_m: float | None = None
 ) -> tuple[SuperCovering, dict]:
     """Cached super covering + build timing breakdown."""
     key = ("sc", name, scale, mode, precision_m)
     if key not in _cache:
         pset = polygons(name, scale)
         t0 = time.perf_counter()
-        covs = compute_coverings(pset, sd.EXTENT, mode, precision_m, spark=spark)
+        rows = compute_coverings(pset, sd.EXTENT, mode, precision_m)
         t_cov = time.perf_counter() - t0
         t0 = time.perf_counter()
-        sc = merge_coverings(covs, sd.EXTENT)
+        sc = merge_coverings(rows, sd.EXTENT)
         t_merge = time.perf_counter() - t0
         _cache[key] = (sc, {"coverings": t_cov, "supercovering": t_merge})
     return _cache[key]
@@ -72,12 +72,11 @@ def index(
     structure: str,
     mode: str = "approx",
     precision_m: float | None = 4.0,
-    spark=None,
 ):
     """Cached PolygonIndexBundle over the cached super covering."""
     key = ("idx", name, scale, structure, mode, precision_m)
     if key not in _cache:
-        sc, times = supercovering(name, scale, mode, precision_m, spark=spark)
+        sc, times = supercovering(name, scale, mode, precision_m)
         bundle = build_index(
             polygons(name, scale),
             sd.EXTENT,
@@ -95,7 +94,7 @@ def clear_cache() -> None:
     _cache.clear()
 
 
-def trained_supercovering(name: str, scale: str, n_train: int, spark=None):
+def trained_supercovering(name: str, scale: str, n_train: int):
     """Accurate-mode super covering trained with ``n_train`` taxi points
     (seed-separated from the query workload, like the paper's 2009-vs-
     2010-2016 split)."""
@@ -103,7 +102,7 @@ def trained_supercovering(name: str, scale: str, n_train: int, spark=None):
 
     key = ("sc-trained", name, scale, n_train)
     if key not in _cache:
-        sc, _ = supercovering(name, scale, "accurate", None, spark=spark)
+        sc, _ = supercovering(name, scale, "accurate", None)
         if n_train > 0:
             tx, ty = sd.taxi_points(n_train, extent=sd.EXTENT, seed=1)
             sc, _stats = train_index(sc, polygons(name, scale), tx, ty)
@@ -111,11 +110,11 @@ def trained_supercovering(name: str, scale: str, n_train: int, spark=None):
     return _cache[key]
 
 
-def accurate_index(name: str, scale: str, n_train: int = 0, structure: str = "act4", spark=None):
+def accurate_index(name: str, scale: str, n_train: int = 0, structure: str = "act4"):
     """Cached accurate-mode (optionally trained) index bundle."""
     key = ("idx-acc", name, scale, n_train, structure)
     if key not in _cache:
-        sc = trained_supercovering(name, scale, n_train, spark=spark)
+        sc = trained_supercovering(name, scale, n_train)
         bundle = build_index(
             polygons(name, scale),
             sd.EXTENT,

@@ -1,8 +1,9 @@
 """Table 1: super covering metrics per polygon dataset and precision.
 
 Paper columns: number of cells, lookup-table size, time to build the
-individual coverings (parallelized over polygons — over Spark here when a
-session is passed), and time to (serially) merge the super covering.
+individual coverings (parallelized over polygons in the paper; one
+descent over all polygons here), and time to (serially) merge the super
+covering.
 """
 from __future__ import annotations
 
@@ -25,11 +26,11 @@ PAPER = {
 }
 
 
-def run(spark=None, scale: str = "test") -> list[dict]:
+def run(scale: str = "test") -> list[dict]:
     rows = []
     for name in ("boroughs", "neighborhoods", "census"):
         for prec in ds.PRECISIONS_M:
-            sc, times = ds.supercovering(name, scale, "approx", prec, spark=spark)
+            sc, times = ds.supercovering(name, scale, "approx", prec)
             _vals, table = encode_values(
                 sc.ref_offsets, sc.ref_poly, sc.ref_interior
             )

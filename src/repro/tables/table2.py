@@ -31,13 +31,11 @@ PAPER = {
 }
 
 
-def run(spark=None, scale: str = "test", precision_m: float = 4.0) -> list[dict]:
+def run(scale: str = "test", precision_m: float = 4.0) -> list[dict]:
     rows = []
     for name in ("boroughs", "neighborhoods", "census"):
         for structure in STRUCTURES:
-            bundle = ds.index(
-                name, scale, ds.STRUCTURES[structure], "approx", precision_m, spark
-            )
+            bundle = ds.index(name, scale, ds.STRUCTURES[structure], "approx", precision_m)
             bt = bundle.build_seconds["structure"]
             rows.append(
                 {

@@ -33,7 +33,7 @@ REPEATS = {"test": 9, "bench": 5}
 
 
 def throughputs(
-    spark=None, scale: str = "test", precision_m: float = 4.0, kind: str = "taxi"
+    scale: str = "test", precision_m: float = 4.0, kind: str = "taxi"
 ) -> dict[tuple[str, str], float]:
     """{(structure, dataset): throughput Mpts/s}, the median over rounds
     that probe the three datasets' indexes in turn."""
@@ -41,7 +41,7 @@ def throughputs(
     out = {}
     for structure in STRUCTURES:
         indexes = [
-            ds.index(name, scale, ds.STRUCTURES[structure], "approx", precision_m, spark).index
+            ds.index(name, scale, ds.STRUCTURES[structure], "approx", precision_m).index
             for name in DATASETS
         ]
         seconds, _ = interleaved_seconds(
@@ -52,8 +52,8 @@ def throughputs(
     return out
 
 
-def run(spark=None, scale: str = "test", precision_m: float = 4.0) -> list[dict]:
-    tp = throughputs(spark, scale, precision_m)
+def run(scale: str = "test", precision_m: float = 4.0) -> list[dict]:
+    tp = throughputs(scale, precision_m)
     rows = []
     for structure in STRUCTURES:
         b = tp[(structure, "boroughs")]

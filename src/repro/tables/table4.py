@@ -25,12 +25,12 @@ PAPER = {
 }
 
 
-def run(spark=None, scale: str = "test", precision_m: float = 4.0) -> list[dict]:
+def run(scale: str = "test", precision_m: float = 4.0) -> list[dict]:
     rows = []
     for kind in ("uniform", "taxi"):
         _px, _py, pt = ds.point_cells(kind, scale)
         for name in ("boroughs", "neighborhoods", "census"):
-            bundle = ds.index(name, scale, "act4", "approx", precision_m, spark)
+            bundle = ds.index(name, scale, "act4", "approx", precision_m)
             _entries, depths = bundle.index.probe(pt)
             depths = depths[depths >= 0]
             hist = np.bincount(depths, minlength=5)[:5] / max(1, len(depths))

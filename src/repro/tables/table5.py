@@ -37,7 +37,6 @@ PAPER = {
 
 
 def run(
-    spark=None,
     scale: str = "test",
     dataset: str = "neighborhoods",
     precision_m: float = 4.0,
@@ -47,7 +46,7 @@ def run(
         _px, _py, pt = ds.point_cells(kind, scale)
         indexes = {
             structure: ds.index(
-                dataset, scale, ds.STRUCTURES[structure], "approx", precision_m, spark
+                dataset, scale, ds.STRUCTURES[structure], "approx", precision_m
             ).index
             for structure in STRUCTURES
         }

@@ -37,14 +37,11 @@ N_QUERY = {"test": 100_000, "bench": 500_000}
 REPEATS = {"test": 9, "bench": 3}
 
 
-def run(spark=None, scale: str = "test") -> list[dict]:
+def run(scale: str = "test") -> list[dict]:
     px, py, _pt = ds.point_cells("taxi", scale, n=N_QUERY[scale], seed=7)
     rows = []
     for name in ("boroughs", "neighborhoods", "census"):
-        bundles = [
-            ds.accurate_index(name, scale, n_train=n, spark=spark)
-            for n in (0, *ds.TRAIN_SIZES[scale])
-        ]
+        bundles = [ds.accurate_index(name, scale, n_train=n) for n in (0, *ds.TRAIN_SIZES[scale])]
         # Untrained and trained joins are timed in turn, round by round, so
         # the speedups compare medians taken under the same load.
         seconds, results = interleaved_seconds(

@@ -24,13 +24,13 @@ def sth_percent(bundle, px, py) -> float:
     return 100.0 * stats["sth_points"] / stats["points"]
 
 
-def run(spark=None, scale: str = "test") -> list[dict]:
+def run(scale: str = "test") -> list[dict]:
     px, py, _pt = ds.point_cells("taxi", scale, seed=7)
     n_train = ds.TRAIN_SIZES[scale][-1]
     rows = []
     for name in ("boroughs", "neighborhoods", "census"):
-        base = ds.accurate_index(name, scale, n_train=0, spark=spark)
-        trained = ds.accurate_index(name, scale, n_train=n_train, spark=spark)
+        base = ds.accurate_index(name, scale, n_train=0)
+        trained = ds.accurate_index(name, scale, n_train=n_train)
         rows.append(
             {
                 "dataset": name,

@@ -5,8 +5,8 @@ import pytest
 from repro import synth_data as sd
 from repro.core import cellid
 from repro.core.act import build_act
-from repro.core.covering import precision_covering
-from repro.core.supercovering import build_supercovering, merge_coverings
+from repro.core.covering import cover_polygons
+from repro.core.supercovering import build_supercovering
 from repro.baselines.sorted_vector import build_sorted_vector
 
 
@@ -37,11 +37,9 @@ def point_id(px, py, ext=1024.0):
 @pytest.fixture(scope="module")
 def neigh_sc():
     ps = sd.polygon_dataset("neighborhoods", scale="test")
-    covs = [
-        (pid, *precision_covering(poly, sd.EXTENT, 10))
-        for pid, poly in enumerate(ps.polygons)
-    ]
-    return merge_coverings(covs, sd.EXTENT)
+    pids = np.arange(len(ps))
+    cells, flags, offs = cover_polygons(ps, pids, sd.EXTENT, 10, np.inf, True)
+    return build_supercovering(cells, np.repeat(pids, np.diff(offs)), flags, sd.EXTENT)
 
 
 class TestBuildBasics:

@@ -5,8 +5,8 @@ import pytest
 from repro import synth_data as sd
 from repro.core import cellid
 from repro.core.act import build_act
-from repro.core.covering import precision_covering
-from repro.core.supercovering import merge_coverings
+from repro.core.covering import cover_polygons
+from repro.core.supercovering import build_supercovering
 from repro.baselines.btree import NODE_KEYS, build_btree
 from repro.baselines.rtree import build_rtree, rtree_join
 from repro.baselines.shapeindex import build_shapeindex
@@ -21,11 +21,9 @@ def neigh():
 
 @pytest.fixture(scope="module")
 def neigh_sc(neigh):
-    covs = [
-        (pid, *precision_covering(poly, sd.EXTENT, 10))
-        for pid, poly in enumerate(neigh.polygons)
-    ]
-    return merge_coverings(covs, sd.EXTENT)
+    pids = np.arange(len(neigh))
+    cells, flags, offs = cover_polygons(neigh, pids, sd.EXTENT, 10, np.inf, True)
+    return build_supercovering(cells, np.repeat(pids, np.diff(offs)), flags, sd.EXTENT)
 
 
 @pytest.fixture(scope="module")

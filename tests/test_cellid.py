@@ -106,25 +106,6 @@ class TestHierarchy:
         kids = cellid.children(par)[0]
         np.testing.assert_array_equal(cellid.parent(kids, 9), np.repeat(par, 4))
 
-    def test_descendants_count_and_containment(self):
-        par = cellid.cell_from_xy(np.array([1]), np.array([2]), 4)
-        for dl in (0, 1, 2, 3):
-            desc = cellid.descendants(par, 4 + dl)
-            assert desc.shape == (1, 4**dl)
-            assert cellid.contains(np.repeat(par, 4**dl), desc[0]).all()
-            assert len(np.unique(desc)) == 4**dl
-
-    def test_descendants_rejects_mixed_levels(self):
-        a = cellid.cell_from_xy(np.array([0]), np.array([0]), 3)
-        b = cellid.cell_from_xy(np.array([0]), np.array([0]), 4)
-        with pytest.raises(ValueError):
-            cellid.descendants(np.concatenate([a, b]), 5)
-
-    def test_descendants_rejects_coarser_target(self):
-        a = cellid.cell_from_xy(np.array([0]), np.array([0]), 5)
-        with pytest.raises(ValueError):
-            cellid.descendants(a, 4)
-
     def test_prefix_property(self):
         """Children share the parent's path prefix — the ACT requirement."""
         par = cellid.cell_from_xy(np.array([42]), np.array([17]), 8)

@@ -1,4 +1,6 @@
-"""Tests for the per-polygon covering engine (S2RegionCoverer substitute)."""
+"""Tests for the covering engine (S2RegionCoverer substitute), one polygon
+at a time: ``cover_polygons`` over one job, ``classify_pairs`` against one
+polygon."""
 import numpy as np
 import pytest
 
@@ -8,21 +10,21 @@ from repro.core.covering import (
     BOUNDARY,
     INTERIOR,
     OUTSIDE,
-    budgeted_covering,
-    budgeted_interior_covering,
-    classify_cells,
-    precision_covering,
+    classify_pairs,
+    cover_polygons,
 )
-from repro.geometry.polygon import Polygon, point_in_polygon
+from repro.geometry.polygon import Polygon, PolygonSet, point_in_polygon
 
 EXT = 1024.0
 
 
-def square(x0, y0, side) -> Polygon:
-    return Polygon(
-        xs=np.array([x0, x0 + side, x0 + side, x0], float),
-        ys=np.array([y0, y0, y0 + side, y0 + side], float),
-    )
+def square(x0, y0, side) -> PolygonSet:
+    return PolygonSet([
+        Polygon(
+            xs=np.array([x0, x0 + side, x0 + side, x0], float),
+            ys=np.array([y0, y0, y0 + side, y0 + side], float),
+        )
+    ])
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +35,10 @@ def neigh():
 class TestClassify:
     def test_square_classification(self):
         # Polygon = cell (1,1) at level 2 exactly; classify level-3 cells.
-        poly = square(256, 256, 256)
+        pset = square(256, 256, 256)
         x, y = np.meshgrid(np.arange(8), np.arange(8))
         ids = cellid.cell_from_xy(x.ravel(), y.ravel(), 3)
-        cls = classify_cells(ids, poly, EXT)
+        cls = classify_pairs(ids, np.zeros(len(ids), np.int64), pset, EXT)
         x0, y0, x1, y1 = cellid.cell_bounds(ids, EXT)
         for k in range(len(ids)):
             overlap_x = max(x0[k], 256) < min(x1[k], 512)
@@ -52,29 +54,30 @@ class TestClassify:
                 assert cls[k] == OUTSIDE
 
     def test_interior_detection(self):
-        poly = square(0, 0, 1024)  # whole region
+        pset = square(0, 0, 1024)  # whole region
         ids = cellid.cells_in_rect(200, 200, 800, 800, 4, EXT)
-        cls = classify_cells(ids, poly, EXT)
+        cls = classify_pairs(ids, np.zeros(len(ids), np.int64), pset, EXT)
         # Cells away from the region border are interior.
         x0, y0, x1, y1 = cellid.cell_bounds(ids, EXT)
         inner = (x0 > 0) & (y0 > 0) & (x1 < 1024) & (y1 < 1024)
         assert np.all(cls[inner] == INTERIOR)
 
     def test_empty_input(self):
-        assert classify_cells(np.empty(0, np.int64), square(0, 0, 10), EXT).shape == (0,)
+        empty = np.empty(0, np.int64)
+        assert classify_pairs(empty, empty, square(0, 0, 10), EXT).shape == (0,)
 
 
 class TestPrecisionCovering:
     @pytest.mark.parametrize("level", [6, 8, 10])
     def test_boundary_cells_at_exact_level(self, neigh, level):
-        ids, flags = precision_covering(neigh.polygons[7], sd.EXTENT, level)
+        ids, flags, _ = cover_polygons(neigh, [7], sd.EXTENT, level, np.inf, True)
         lv = cellid.level_of(ids)
         assert np.all(lv[~flags] == level)
         assert np.all(lv[flags] <= level)
 
     def test_interior_cells_inside(self, neigh):
         poly = neigh.polygons[3]
-        ids, flags = precision_covering(poly, sd.EXTENT, 9)
+        ids, flags, _ = cover_polygons(neigh, [3], sd.EXTENT, 9, np.inf, True)
         # Sample the corners and center of each interior cell: all inside.
         x0, y0, x1, y1 = cellid.cell_bounds(ids[flags], sd.EXTENT)
         eps = 1e-9
@@ -82,14 +85,14 @@ class TestPrecisionCovering:
             assert point_in_polygon(sx, sy, *poly.edges()).all()
 
     def test_per_polygon_disjoint(self, neigh):
-        ids, _ = precision_covering(neigh.polygons[0], sd.EXTENT, 9)
+        ids, _, _ = cover_polygons(neigh, [0], sd.EXTENT, 9, np.inf, True)
         s = np.sort(ids)
         assert np.all(cellid.range_max(s[:-1]) < cellid.range_min(s[1:]))
 
     def test_covering_is_complete(self, neigh):
         """Every point inside the polygon falls in some covering cell."""
         poly = neigh.polygons[12]
-        ids, _ = precision_covering(poly, sd.EXTENT, 9)
+        ids, _, _ = cover_polygons(neigh, [12], sd.EXTENT, 9, np.inf, True)
         x0, y0, x1, y1 = poly.mbr()
         g = np.random.default_rng(0)
         px = g.uniform(x0, x1, 3000)
@@ -106,7 +109,7 @@ class TestPrecisionCovering:
     def test_outside_mostly_uncovered(self, neigh):
         """Points far from the polygon never land in covering cells."""
         poly = neigh.polygons[12]
-        ids, _ = precision_covering(poly, sd.EXTENT, 9)
+        ids, _, _ = cover_polygons(neigh, [12], sd.EXTENT, 9, np.inf, True)
         x0, y0, x1, y1 = poly.mbr()
         g = np.random.default_rng(1)
         px = g.uniform(0, sd.EXTENT, 5000)
@@ -121,17 +124,17 @@ class TestPrecisionCovering:
         assert not hit.any()
 
     def test_finer_precision_more_cells(self, neigh):
-        poly = neigh.polygons[5]
-        n8 = len(precision_covering(poly, sd.EXTENT, 8)[0])
-        n10 = len(precision_covering(poly, sd.EXTENT, 10)[0])
-        n12 = len(precision_covering(poly, sd.EXTENT, 12)[0])
+        n8, n10, n12 = (
+            len(cover_polygons(neigh, [5], sd.EXTENT, level, np.inf, True)[0])
+            for level in (8, 10, 12)
+        )
         assert n8 < n10 < n12
 
 
 class TestBudgetedCoverings:
     def test_covering_superset_of_polygon(self, neigh):
         poly = neigh.polygons[9]
-        ids = budgeted_covering(poly, sd.EXTENT, max_cells=64, max_level=12)
+        ids = cover_polygons(neigh, [9], sd.EXTENT, 12, 64, True)[0]
         x0, y0, x1, y1 = poly.mbr()
         g = np.random.default_rng(2)
         px = g.uniform(x0, x1, 2000)
@@ -147,7 +150,7 @@ class TestBudgetedCoverings:
 
     def test_interior_covering_subset_of_polygon(self, neigh):
         poly = neigh.polygons[9]
-        ids = budgeted_interior_covering(poly, sd.EXTENT, max_cells=256, max_level=12)
+        ids = cover_polygons(neigh, [9], sd.EXTENT, 12, 256, False)[0]
         assert len(ids) > 0
         x0, y0, x1, y1 = cellid.cell_bounds(ids, sd.EXTENT)
         g = np.random.default_rng(3)
@@ -158,22 +161,20 @@ class TestBudgetedCoverings:
             assert point_in_polygon(sx, sy, *poly.edges()).all()
 
     def test_budget_limits_cells(self, neigh):
-        poly = neigh.polygons[2]
-        small = budgeted_covering(poly, sd.EXTENT, max_cells=32, max_level=14)
-        large = budgeted_covering(poly, sd.EXTENT, max_cells=512, max_level=14)
+        small = cover_polygons(neigh, [2], sd.EXTENT, 14, 32, True)[0]
+        large = cover_polygons(neigh, [2], sd.EXTENT, 14, 512, True)[0]
         assert len(small) < len(large)
         assert len(small) <= 4 * 32  # budget respected within a split round
 
     def test_max_level_respected(self, neigh):
-        ids = budgeted_covering(neigh.polygons[2], sd.EXTENT, max_cells=10**9, max_level=7)
+        ids = cover_polygons(neigh, [2], sd.EXTENT, 7, 10**9, True)[0]
         assert cellid.level_of(ids).max() <= 7
 
     def test_coverings_overlap_interior(self, neigh):
         """Budgeted covering and interior covering conflict (S2-style):
         this is what Listing 1's conflict resolution must handle."""
-        poly = neigh.polygons[9]
-        c = np.sort(budgeted_covering(poly, sd.EXTENT, 64, 12))
-        i = budgeted_interior_covering(poly, sd.EXTENT, 256, 12)
+        c = np.sort(cover_polygons(neigh, [9], sd.EXTENT, 12, 64, True)[0])
+        i = cover_polygons(neigh, [9], sd.EXTENT, 12, 256, False)[0]
         pos = np.searchsorted(c, i)
         conflict = np.zeros(len(i), bool)
         conflict |= (pos > 0) & (cellid.range_max(c[np.maximum(pos - 1, 0)]) >= i)

@@ -2,7 +2,7 @@
 
 The hierarchical descent (edge-subset propagation + center-parity
 transport) must classify cells exactly like the brute-force
-``classify_cells``; these tests pin that equivalence on complex (fractal
+``classify_pairs``; these tests pin that equivalence on complex (fractal
 boroughs) and simple (census) polygons, and on random triangles down to
 ones smaller than a boundary cell, for which the descent must still stop.
 """
@@ -17,10 +17,8 @@ from repro.core import cellid
 from repro.core.covering import (
     BOUNDARY,
     INTERIOR,
-    budgeted_covering,
-    budgeted_interior_covering,
-    classify_cells,
-    precision_covering,
+    classify_pairs,
+    cover_polygons,
 )
 from repro.core.join import build_index, compute_coverings, probe_batch
 from repro.geometry.polygon import (
@@ -34,33 +32,34 @@ from repro.geometry.polygon import (
 @pytest.mark.parametrize("name,poly_id", [("boroughs", 1), ("neighborhoods", 7), ("census", 30)])
 @pytest.mark.parametrize("level", [8, 10])
 def test_precision_covering_matches_reference(name, poly_id, level):
-    poly = sd.polygon_dataset(name, scale="test").polygons[poly_id]
-    ids, flags = precision_covering(poly, sd.EXTENT, level)
-    cls = classify_cells(ids, poly, sd.EXTENT)
+    pset = sd.polygon_dataset(name, scale="test")
+    ids, flags, _ = cover_polygons(pset, [poly_id], sd.EXTENT, level, np.inf, True)
+    cls = classify_pairs(ids, np.full(len(ids), poly_id), pset, sd.EXTENT)
     assert np.all(cls[flags] == INTERIOR)
     assert np.all(cls[~flags] == BOUNDARY)
 
 
 @pytest.mark.parametrize("name", sd.POLYGON_DATASETS)
 def test_budgeted_covering_cells_touch_polygon(name):
-    poly = sd.polygon_dataset(name, scale="test").polygons[0]
-    ids = budgeted_covering(poly, sd.EXTENT, 128, 14)
-    cls = classify_cells(ids, poly, sd.EXTENT)
+    pset = sd.polygon_dataset(name, scale="test")
+    ids = cover_polygons(pset, [0], sd.EXTENT, 14, 128, True)[0]
+    cls = classify_pairs(ids, np.zeros(len(ids), np.int64), pset, sd.EXTENT)
     assert np.all(cls != 0)  # every covering cell intersects the polygon
 
 
 @pytest.mark.parametrize("name", sd.POLYGON_DATASETS)
 def test_budgeted_interior_cells_are_interior(name):
-    poly = sd.polygon_dataset(name, scale="test").polygons[0]
-    ids = budgeted_interior_covering(poly, sd.EXTENT, 512, 13)
-    cls = classify_cells(ids, poly, sd.EXTENT)
+    pset = sd.polygon_dataset(name, scale="test")
+    ids = cover_polygons(pset, [0], sd.EXTENT, 13, 512, False)[0]
+    cls = classify_pairs(ids, np.zeros(len(ids), np.int64), pset, sd.EXTENT)
     assert np.all(cls == INTERIOR)
 
 
 def test_coverings_union_covers_polygon_area():
     """Interior + boundary cell areas bracket the polygon area."""
-    poly = sd.polygon_dataset("neighborhoods", scale="test").polygons[11]
-    ids, flags = precision_covering(poly, sd.EXTENT, 11)
+    pset = sd.polygon_dataset("neighborhoods", scale="test")
+    poly = pset.polygons[11]
+    ids, flags, _ = cover_polygons(pset, [11], sd.EXTENT, 11, np.inf, True)
     side = sd.EXTENT / np.power(2.0, cellid.level_of(ids).astype(float))
     areas = side * side
     interior_area = areas[flags].sum()
@@ -72,8 +71,9 @@ def test_fractal_polygon_complete_covering():
     """The fractal borough boundary must still be fully covered."""
     from repro.geometry.polygon import point_in_polygon
 
-    poly = sd.polygon_dataset("boroughs", scale="test").polygons[1]
-    ids, _ = precision_covering(poly, sd.EXTENT, 11)
+    pset = sd.polygon_dataset("boroughs", scale="test")
+    poly = pset.polygons[1]
+    ids, _, _ = cover_polygons(pset, [1], sd.EXTENT, 11, np.inf, True)
     g = np.random.default_rng(6)
     x0, y0, x1, y1 = poly.mbr()
     px = g.uniform(x0, x1, 4000)
@@ -106,10 +106,11 @@ def triangles(draw):
 def test_precision_covering_of_small_polygons(poly, level):
     """The descent stops for polygons whose seed cells are already finer
     than the boundary level, and classifies like the reference."""
-    ids, flags = precision_covering(poly, sd.EXTENT, level)
+    pset = PolygonSet([poly])
+    ids, flags, _ = cover_polygons(pset, [0], sd.EXTENT, level, np.inf, True)
     levels = cellid.level_of(ids[~flags])
     assert len(levels) and levels.min() >= level and levels.max() <= cellid.MAX_LEVEL
-    cls = classify_cells(ids, poly, sd.EXTENT)
+    cls = classify_pairs(ids, np.zeros(len(ids), np.int64), pset, sd.EXTENT)
     assert np.all(cls[flags] == INTERIOR)
     assert np.all(cls[~flags] == BOUNDARY)
 
@@ -142,8 +143,10 @@ def test_joins_on_triangle_with_edge_through_cell_corners():
     joins must fall back to the full PIP test to equal the truth."""
     poly = Polygon(np.array([128.0, 0.0, 128.0]), np.array([128.0, 0.0, 0.0]))
     pset = PolygonSet([poly])
-    ids, flags = precision_covering(poly, sd.EXTENT, 12)
-    assert np.all(classify_cells(ids[flags], poly, sd.EXTENT) == INTERIOR)
+    ids, flags, _ = cover_polygons(pset, [0], sd.EXTENT, 12, np.inf, True)
+    inner = ids[flags]
+    cls = classify_pairs(inner, np.zeros(len(inner), np.int64), pset, sd.EXTENT)
+    assert np.all(cls == INTERIOR)
     g = np.random.default_rng(0)
     px, py = g.uniform(0.0, 128.0, 20_000), g.uniform(0.0, 128.0, 20_000)
     ti, tp = point_in_polygon_set(px, py, pset)
@@ -168,14 +171,16 @@ def test_joins_on_triangle_with_edge_through_cell_corners():
 @pytest.mark.parametrize("name", sd.POLYGON_DATASETS)
 @pytest.mark.parametrize("mode,precision", [("approx", 4.0), ("accurate", None)])
 def test_coverings_independent_of_batch(name, mode, precision):
-    """One descent over the whole set gives each polygon exactly the
-    covering a descent over that polygon alone gives."""
+    """One descent over the whole set gives each polygon exactly the rows
+    a descent over that polygon alone gives, in the same order."""
     pset = sd.polygon_dataset(name, scale="test")
-    together = compute_coverings(pset, sd.EXTENT, mode, precision)
-    assert [pid for pid, _, _ in together] == list(range(len(pset)))
-    for pid, cells, flags in together:
-        [(_, alone, alone_flags)] = compute_coverings(
+    cells, polys, flags = compute_coverings(pset, sd.EXTENT, mode, precision)
+    assert np.all(np.isin(np.arange(len(pset)), polys))
+    for pid in range(len(pset)):
+        alone_cells, alone_polys, alone_flags = compute_coverings(
             PolygonSet([pset.polygons[pid]]), sd.EXTENT, mode, precision
         )
-        np.testing.assert_array_equal(cells, alone)
-        np.testing.assert_array_equal(flags, alone_flags)
+        mine = polys == pid
+        np.testing.assert_array_equal(cells[mine], alone_cells)
+        np.testing.assert_array_equal(flags[mine], alone_flags)
+        assert np.all(alone_polys == 0)

@@ -26,7 +26,6 @@ from repro.core.join import (
     _chunks,
     _drop_zip_importers,
     build_index,
-    compute_coverings,
     count_per_polygon,
     probe_batch,
     spatial_join,
@@ -345,32 +344,17 @@ class TestInputContract:
         assert pairs(joined) == pairs(spatial_join(spark, spark.createDataFrame(wide), exact_bundle))
 
 
-class TestDistributedBuild:
-    def test_spark_coverings_equal_driver(self, spark, neigh):
-        for mode, precision in (("approx", 15.0), ("accurate", None)):
-            a = compute_coverings(neigh, sd.EXTENT, mode, precision, spark=None)
-            b = compute_coverings(neigh, sd.EXTENT, mode, precision, spark=spark)
-            assert len(a) == len(b) == len(neigh)
-            for (pa, ca, fa), (pb, cb, fb) in zip(a, b):
-                assert pa == pb
-                np.testing.assert_array_equal(ca, cb)
-                np.testing.assert_array_equal(fa, fb)
-
-    def test_spark_built_index_joins_correctly(self, spark, neigh, points_pdf, points_sdf):
-        b = build_index(
-            neigh, sd.EXTENT, mode="accurate", precision_m=None, spark=spark
-        )
-        joined = spatial_join(spark, points_sdf, b).select("pid", "poly_id")
-        assert_equivalent(
-            joined, PIP_JOIN_SQL, points=points_pdf, edges=neigh.edges_pdf()
-        )
-
-
 class TestBundle:
     def test_bundle_records_build_times(self, exact_bundle):
         assert set(exact_bundle.build_seconds) >= {"coverings", "supercovering", "structure"}
 
-    def test_unknown_structure(self, neigh):
+    def test_unknown_structure(self, neigh, monkeypatch):
+        """The structure name is checked before any covering is computed."""
+
+        def no_covering(*args):
+            raise AssertionError("coverings computed for an unknown structure")
+
+        monkeypatch.setattr(join, "compute_coverings", no_covering)
         with pytest.raises(KeyError):
             build_index(neigh, sd.EXTENT, structure="splaytree")
 
@@ -538,13 +522,6 @@ class TestBroadcastOnce:
         del b
         gc.collect()
         assert bc3.destroyed and not os.path.exists(bc3._path)
-
-    def test_spark_coverings_leave_no_broadcast(self, spark, neigh):
-        sc = spark.sparkContext
-        gc.collect()
-        before = set(os.listdir(sc._temp_dir))
-        compute_coverings(neigh, sd.EXTENT, "approx", 15.0, spark=spark)
-        assert set(os.listdir(sc._temp_dir)) - before == set()
 
 
 def test_drop_zip_importers(tmp_path, monkeypatch):

@@ -5,8 +5,8 @@ import pytest
 from repro import synth_data as sd
 from repro.core import cellid
 from repro.core.act import build_act
-from repro.core.covering import precision_covering
-from repro.core.supercovering import merge_coverings
+from repro.core.covering import cover_polygons
+from repro.core.supercovering import build_supercovering
 from repro.baselines.btree import build_btree
 from repro.baselines.sorted_vector import build_sorted_vector
 from repro.perf.counters import ProbeCounters, measure_probes
@@ -15,11 +15,9 @@ from repro.perf.counters import ProbeCounters, measure_probes
 @pytest.fixture(scope="module")
 def setup():
     ps = sd.polygon_dataset("neighborhoods", scale="test")
-    covs = [
-        (pid, *precision_covering(poly, sd.EXTENT, 9))
-        for pid, poly in enumerate(ps.polygons)
-    ]
-    sc = merge_coverings(covs, sd.EXTENT)
+    pids = np.arange(len(ps))
+    cells, flags, offs = cover_polygons(ps, pids, sd.EXTENT, 9, np.inf, True)
+    sc = build_supercovering(cells, np.repeat(pids, np.diff(offs)), flags, sd.EXTENT)
     px, py = sd.taxi_points(20_000, seed=41)
     return sc, cellid.cell_from_point(px, py, sd.EXTENT)
 

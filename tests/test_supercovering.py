@@ -6,11 +6,7 @@ from hypothesis import strategies as st
 
 from repro import synth_data as sd
 from repro.core import cellid
-from repro.core.covering import (
-    budgeted_covering,
-    budgeted_interior_covering,
-    precision_covering,
-)
+from repro.core.covering import cover_polygons
 from repro.core.supercovering import (
     SuperCovering,
     build_supercovering,
@@ -234,14 +230,14 @@ class TestMergeCoverings:
     @pytest.fixture(scope="class")
     def merged(self):
         ps = sd.polygon_dataset("neighborhoods", scale="test")
-        covs = [
-            (pid, *precision_covering(poly, sd.EXTENT, 9))
-            for pid, poly in enumerate(ps.polygons)
-        ]
-        return ps, merge_coverings(covs, sd.EXTENT)
+        pids = np.arange(len(ps))
+        cells, flags, offs = cover_polygons(ps, pids, sd.EXTENT, 9, np.inf, True)
+        rows = (cells, np.repeat(pids, np.diff(offs)), flags)
+        return ps, merge_coverings(rows, sd.EXTENT)
 
     def test_empty(self):
-        assert merge_coverings([], EXT).n_cells == 0
+        empty = np.empty(0, np.int64)
+        assert merge_coverings((empty, empty, empty), EXT).n_cells == 0
 
     def test_disjoint(self, merged):
         _ps, sc = merged
@@ -273,18 +269,18 @@ class TestMergeCoverings:
         """The accurate-mode pipeline (overlapping covering + interior
         covering) merges into a disjoint set with interior-wins refs."""
         ps = sd.polygon_dataset("census", scale="test")
-        covs = []
-        for pid, poly in enumerate(ps.polygons):
-            c = budgeted_covering(poly, sd.EXTENT, 128, 14)
-            i = budgeted_interior_covering(poly, sd.EXTENT, 512, 13)
-            covs.append(
-                (
-                    pid,
-                    np.concatenate([c, i]),
-                    np.concatenate([np.zeros(len(c), bool), np.ones(len(i), bool)]),
-                )
-            )
-        sc = merge_coverings(covs, sd.EXTENT)
+        n = len(ps)
+        # Job k is polygon k's covering, job n + k its interior covering.
+        cells, _, offs = cover_polygons(
+            ps,
+            np.tile(np.arange(n), 2),
+            sd.EXTENT,
+            np.repeat([14, 13], n),
+            np.repeat([128, 512], n),
+            np.repeat([True, False], n),
+        )
+        job = np.repeat(np.arange(2 * n), np.diff(offs))
+        sc = merge_coverings((cells, job % n, job >= n), sd.EXTENT)
         assert sc.validate_disjoint()
         # No (poly, cand) duplicate where (poly, true) exists on a cell.
         for i in range(0, sc.n_cells, max(1, sc.n_cells // 200)):

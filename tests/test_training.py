@@ -10,13 +10,7 @@ from repro import synth_data as sd
 from repro.core import cellid
 from repro.core.join import build_index, compute_coverings, probe_batch
 from repro.core.supercovering import build_supercovering, merge_coverings
-from repro.core.covering import (
-    INTERIOR,
-    OUTSIDE,
-    budgeted_covering,
-    budgeted_interior_covering,
-    classify_cells,
-)
+from repro.core.covering import INTERIOR, OUTSIDE, classify_pairs, cover_polygons
 from repro.core.training import refine_to_precision, train_index
 from repro.geometry.polygon import Polygon, PolygonSet, point_in_polygon_set
 
@@ -28,18 +22,18 @@ def neigh():
 
 @pytest.fixture(scope="module")
 def accurate_sc(neigh):
-    covs = []
-    for pid, poly in enumerate(neigh.polygons):
-        c = budgeted_covering(poly, sd.EXTENT, 128, 16)
-        i = budgeted_interior_covering(poly, sd.EXTENT, 256, 12)
-        covs.append(
-            (
-                pid,
-                np.concatenate([c, i]),
-                np.concatenate([np.zeros(len(c), bool), np.ones(len(i), bool)]),
-            )
-        )
-    return merge_coverings(covs, sd.EXTENT)
+    n = len(neigh)
+    # Job k is polygon k's covering, job n + k its interior covering.
+    cells, _, offs = cover_polygons(
+        neigh,
+        np.tile(np.arange(n), 2),
+        sd.EXTENT,
+        np.repeat([16, 12], n),
+        np.repeat([128, 256], n),
+        np.repeat([True, False], n),
+    )
+    job = np.repeat(np.arange(2 * n), np.diff(offs))
+    return build_supercovering(cells, job % n, job >= n, sd.EXTENT)
 
 
 def sth_and_pips(sc, neigh, px, py):
@@ -198,7 +192,7 @@ def merge_split(sc, cell_idx, pset):
     cand = ref_split & ~sc.ref_interior
     for p in np.unique(sc.ref_poly[cand]):
         kids = cellid.children(ref_ids[cand & (sc.ref_poly == p)]).ravel()
-        cls = classify_cells(kids, pset.polygons[int(p)], sc.extent)
+        cls = classify_pairs(kids, np.full(len(kids), p, np.int64), pset, sc.extent)
         hit = cls != OUTSIDE
         cells.append(kids[hit])
         polys.append(np.full(int(hit.sum()), p, np.int32))
