@@ -16,8 +16,8 @@ result equals rounds of "probe all points, split every hit expensive cell
 by one level" (DESIGN.md §3), with children classified against their
 parent's clipped edges and one merge at the end. A memory budget (max
 cells) stops refinement like the paper's "stop once a user-defined memory
-budget is exhausted". Precision refinement (§3.2) is the same descent
-with another split rule: below the precision level.
+budget is exhausted". Precision refinement (§3.2) needs no pass of its
+own: the approximate build covers at the precision level directly.
 """
 from __future__ import annotations
 
@@ -37,11 +37,19 @@ class TrainingStats:
     cells_refined: int = 0  # distinct cells split, summed over rounds
 
 
-def _refine(
-    sc: SuperCovering, pset: PolygonSet, splits, max_cells: float = np.inf
+def train_index(
+    sc: SuperCovering,
+    pset: PolygonSet,
+    train_x: np.ndarray,
+    train_y: np.ndarray,
+    max_cells: int | None = None,
+    max_level: int = cellid.MAX_LEVEL - 2,
 ) -> tuple[SuperCovering, TrainingStats]:
-    """Split every candidate cell of ``sc`` that ``splits(cell_ids)``
-    selects, and every boundary child it selects, down the quadtree.
+    """Adapt the super covering to the training point distribution.
+
+    Returns the refined covering and its statistics. ``max_level`` bounds
+    refinement depth. Every candidate cell below ``max_level`` that holds
+    a training point is split, and so is every boundary child that does.
 
     The split cells' candidate references are the descent's jobs: one
     clip and centre test per (cell, polygon), then one level of
@@ -51,10 +59,20 @@ def _refine(
     ``build_supercovering`` over the references of cells kept whole, the
     split cells' true references and the emitted cells.
 
-    ``max_cells`` is checked before each level against the cells held:
-    those kept whole, the (cell, polygon) rows emitted and the frontier's
-    rows. Once reached, the frontier's boundary cells stay candidates.
+    ``max_cells`` is the paper's memory budget, checked before each level
+    against the cells held: those kept whole, the (cell, polygon) rows
+    emitted and the frontier's rows. Once reached, the frontier's boundary
+    cells stay candidates.
     """
+    max_cells = np.inf if max_cells is None else max_cells
+    pt = np.sort(cellid.cell_from_point(train_x, train_y, sc.extent))
+
+    def splits(cells):
+        # Cells below max_level that hold a training point.
+        a = np.searchsorted(pt, cellid.range_min(cells))
+        b = np.searchsorted(pt, cellid.range_max(cells), side="right")
+        return (b > a) & (cellid.level_of(cells) < max_level)
+
     split = sc.candidate_mask() & splits(sc.ids)
     n_split = np.count_nonzero(split)
     if n_split == 0 or sc.n_cells >= max_cells:
@@ -85,44 +103,3 @@ def _refine(
         np.concatenate([sc.ref_interior[keep], flags]),
         sc.extent,
     ), stats
-
-
-def train_index(
-    sc: SuperCovering,
-    pset: PolygonSet,
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    max_cells: int | None = None,
-    max_level: int = cellid.MAX_LEVEL - 2,
-) -> tuple[SuperCovering, TrainingStats]:
-    """Adapt the super covering to the training point distribution.
-
-    Returns the refined covering and its statistics. ``max_cells`` is the
-    paper's memory budget, checked before each refined level (see
-    :func:`_refine`); ``max_level`` bounds refinement depth.
-    """
-    pt = np.sort(cellid.cell_from_point(train_x, train_y, sc.extent))
-
-    def splits(cells):
-        # Cells below max_level that hold a training point.
-        a = np.searchsorted(pt, cellid.range_min(cells))
-        b = np.searchsorted(pt, cellid.range_max(cells), side="right")
-        return (b > a) & (cellid.level_of(cells) < max_level)
-
-    return _refine(sc, pset, splits, np.inf if max_cells is None else max_cells)
-
-
-def refine_to_precision(
-    sc: SuperCovering, pset: PolygonSet, precision_m: float
-) -> SuperCovering:
-    """Refine all boundary cells to the precision level (paper §3.2).
-
-    Splits every cell with a candidate reference coarser than the minimum
-    level for ``precision_m``, and its boundary children down to that
-    level: children fully inside become true hits at their level,
-    boundary children reach that level as candidates. Used when an
-    existing (e.g. accurate-mode) covering must be upgraded to a precision
-    guarantee; the approx build path constructs at precision directly.
-    """
-    target = cellid.min_level_for_precision(precision_m, sc.extent)
-    return _refine(sc, pset, lambda cells: cellid.level_of(cells) < target)[0]

@@ -3,16 +3,25 @@
 This is the substrate the paper gets from the S2/boost libraries: the exact
 point-in-polygon (PIP) test via the ray-crossing algorithm (paper §2),
 batched over (point, polygon) pairs in :meth:`PolygonSet.contains` (the one
-PIP test the join's refinement, the coverings and the baselines run),
-minimum bounding rectangles, exact segment-vs-axis-aligned-rectangle
-intersection (used to classify quadtree cells as boundary cells), proper
-segment crossings (used to carry point containment from a known point to a
-nearby one), and point-to-polygon distance (used to verify the approximate
-join's precision bound). Every segment/rect and segment/segment predicate
-of the package lives here.
+PIP test the join's refinement, the coverings, the baselines and the
+brute-force oracle run), minimum bounding rectangles, exact
+segment-vs-axis-aligned-rectangle intersection (used to classify quadtree
+cells as boundary cells), proper segment crossings (used to carry point
+containment from a known point to a nearby one), and point-to-polygon
+distance (used to verify the approximate join's precision bound). Every
+segment/rect and segment/segment predicate of the package lives here.
 
 Polygons are simple (non-self-intersecting) rings given as vertex arrays;
 the closing edge from the last vertex back to the first is implicit.
+
+Boundary rule (semi-open, as S2's polygon model): ``PolygonSet`` stores
+every edge upwards (``y1 <= y2``), so the two polygons on either side of a
+shared edge test it with the same operands. A point on a non-horizontal
+edge then belongs to the polygon on the edge's +x side; a point on a
+horizontal edge or a vertex follows the half-open y rule (lower end
+closed, upper end open). The polygons of a tiling thus partition the
+plane, and the test agrees bit for bit with the SQL oracle
+(``sql_oracle.PIP_JOIN_SQL``) fed the same edges.
 """
 from __future__ import annotations
 
@@ -114,25 +123,17 @@ class PolygonSet:
     mbrs: np.ndarray = field(init=False, repr=False)  # (n, 4): x0 y0 x1 y1
 
     def __post_init__(self) -> None:
-        xs1, ys1, xs2, ys2, pid = [], [], [], [], []
-        offs = [0]
-        mbrs = np.empty((len(self.polygons), 4), np.float64)
-        for i, p in enumerate(self.polygons):
-            x1, y1, x2, y2 = p.edges()
-            xs1.append(x1)
-            ys1.append(y1)
-            xs2.append(x2)
-            ys2.append(y2)
-            pid.append(np.full(len(x1), i, np.int32))
-            offs.append(offs[-1] + len(x1))
-            mbrs[i] = p.mbr()
-        self.edge_x1 = np.concatenate(xs1)
-        self.edge_y1 = np.concatenate(ys1)
-        self.edge_x2 = np.concatenate(xs2)
-        self.edge_y2 = np.concatenate(ys2)
-        self.edge_poly = np.concatenate(pid)
-        self.edge_offsets = np.asarray(offs, np.int64)
-        self.mbrs = mbrs
+        edges = zip(*(p.edges() for p in self.polygons))
+        x1, y1, x2, y2 = (np.concatenate(c) for c in edges)
+        # Every edge upwards: the crossing test and the SQL oracle then see
+        # the same operands for both polygons that share an edge.
+        down = y1 > y2
+        self.edge_x1, self.edge_x2 = np.where(down, x2, x1), np.where(down, x1, x2)
+        self.edge_y1, self.edge_y2 = np.where(down, y2, y1), np.where(down, y1, y2)
+        counts = [p.n_vertices for p in self.polygons]
+        self.edge_poly = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+        self.edge_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        self.mbrs = np.array([p.mbr() for p in self.polygons], np.float64)
 
     def __len__(self) -> int:
         return len(self.polygons)
@@ -144,24 +145,14 @@ class PolygonSet:
     def avg_vertices(self) -> float:
         return self.n_edges / max(1, len(self.polygons))
 
-    def poly_edges(
-        self, poly_id: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        a, b = self.edge_offsets[poly_id], self.edge_offsets[poly_id + 1]
-        return (
-            self.edge_x1[a:b],
-            self.edge_y1[a:b],
-            self.edge_x2[a:b],
-            self.edge_y2[a:b],
-        )
-
     def contains(self, px: np.ndarray, py: np.ndarray, polys: np.ndarray) -> np.ndarray:
         """Whether point ``(px[i], py[i])`` lies inside polygon ``polys[i]``.
 
-        The crossing-number test of :func:`point_in_polygon`, bit for bit,
-        over all pairs at once, whatever their polygons: each pair meets
-        every edge of its polygon, in chunks of about ``_PAIR_CHUNK``
-        (pair, edge) tests.
+        The crossing-number test (paper §2) over all pairs at once,
+        whatever their polygons: each pair meets every edge of its polygon,
+        in chunks of about ``_PAIR_CHUNK`` (pair, edge) tests, and is
+        inside iff its +x ray crosses an odd number of them. Points on the
+        boundary follow the semi-open rule of the module docstring.
         """
         px = np.asarray(px, np.float64)
         py = np.asarray(py, np.float64)
@@ -177,7 +168,7 @@ class PolygonSet:
         return (crossings & 1).astype(bool)
 
     def edges_pdf(self):
-        """Edge table as a pandas frame (for Spark builds / SQL oracle)."""
+        """Edge table as a pandas frame, edges upwards (for the SQL oracle)."""
         import pandas as pd
 
         return pd.DataFrame(
@@ -191,41 +182,6 @@ class PolygonSet:
         )
 
 
-def point_in_polygon(
-    px: np.ndarray,
-    py: np.ndarray,
-    x1: np.ndarray,
-    y1: np.ndarray,
-    x2: np.ndarray,
-    y2: np.ndarray,
-    chunk: int = 4_000_000,
-) -> np.ndarray:
-    """Exact crossing-number PIP test of points vs one edge set (paper §2).
-
-    A horizontal ray is cast in +x direction; a point is inside iff it
-    crosses an odd number of edges. O(points * edges), the expensive
-    refinement the paper's index avoids. Chunked to bound peak memory.
-    """
-    px = np.asarray(px, np.float64)
-    py = np.asarray(py, np.float64)
-    n, e = len(px), len(x1)
-    out = np.zeros(n, dtype=bool)
-    if n == 0 or e == 0:
-        return out
-    step = max(1, chunk // max(1, e))
-    for s in range(0, n, step):
-        crossing = ray_crossings(
-            px[s : s + step, None],
-            py[s : s + step, None],
-            x1[None, :],
-            y1[None, :],
-            x2[None, :],
-            y2[None, :],
-        )
-        out[s : s + step] = (crossing.sum(axis=1) & 1).astype(bool)
-    return out
-
-
 def ray_crossings(
     px: np.ndarray,
     py: np.ndarray,
@@ -236,34 +192,32 @@ def ray_crossings(
 ) -> np.ndarray:
     """Whether the +x ray from each point crosses each edge (broadcasting).
 
-    The crossing-number step of :func:`point_in_polygon`: a point is inside
-    a polygon iff its ray crosses an odd number of the polygon's edges.
-    Operands broadcast like :func:`segments_intersect_rects`.
+    The crossing-number step of :meth:`PolygonSet.contains` for upward
+    edges (``y1 <= y2``): the edge straddles the point's horizontal line
+    (lower end closed, upper end open) and the point lies strictly left of
+    it. The cross-product form of ``sql_oracle.PIP_JOIN_SQL``, operation
+    for operation, so both round alike.
     """
     straddle = (y1 > py) != (y2 > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xin = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-    return straddle & (px < xin)
+    return straddle & ((px - x1) * (y2 - y1) - (py - y1) * (x2 - x1) < 0)
 
 
 def point_in_polygon_set(
-    px: np.ndarray, py: np.ndarray, pset: PolygonSet, chunk: int = 4_000_000
+    px: np.ndarray, py: np.ndarray, pset: PolygonSet
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Brute-force join oracle: all (point_idx, poly_id) containment pairs."""
-    pi, pj = [], []
-    for poly_id in range(len(pset)):
-        x0, y0, x1m, y1m = pset.mbrs[poly_id]
-        cand = np.flatnonzero((px >= x0) & (px <= x1m) & (py >= y0) & (py <= y1m))
-        if cand.size == 0:
-            continue
-        ex1, ey1, ex2, ey2 = pset.poly_edges(poly_id)
-        inside = point_in_polygon(px[cand], py[cand], ex1, ey1, ex2, ey2, chunk)
-        hits = cand[inside]
-        pi.append(hits)
-        pj.append(np.full(len(hits), poly_id, np.int32))
-    if not pi:
-        return np.empty(0, np.int64), np.empty(0, np.int32)
-    return np.concatenate(pi).astype(np.int64), np.concatenate(pj)
+    """Brute-force join oracle: all (point_idx, poly_id) containment pairs.
+
+    Every point in a polygon's MBR is paired with it, and all pairs go
+    through one :meth:`PolygonSet.contains` call.
+    """
+    pts = [
+        np.flatnonzero((px >= x0) & (px <= x1) & (py >= y0) & (py <= y1))
+        for x0, y0, x1, y1 in pset.mbrs
+    ]
+    pi = np.concatenate(pts)
+    pj = np.repeat(np.arange(len(pset), dtype=np.int32), [len(p) for p in pts])
+    inside = pset.contains(px[pi], py[pi], pj)
+    return pi[inside].astype(np.int64), pj[inside]
 
 
 def segments_intersect_rects(
@@ -378,7 +332,6 @@ def point_to_polygon_distance(
             y2[None, :],
         )
         out[s : s + step] = d.min(axis=1)
-    inside = point_in_polygon(px, py, x1, y1, x2, y2)
-    out[inside] = 0.0
+    out[PolygonSet([poly]).contains(px, py, np.zeros(n, np.int64))] = 0.0
     return out
 

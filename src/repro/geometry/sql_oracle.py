@@ -13,6 +13,11 @@ by zero:
 
     ((px-x1)(y2-y1) - (py-y1)(x2-x1)) * sign(y2-y1) < 0
 
+``PolygonSet.edges_pdf`` gives every edge upwards (``y1 <= y2``), so the
+sign is +1 for every straddling edge, and the query computes
+``polygon.ray_crossings`` operation for operation: the two agree bit for
+bit, on boundary points too, while sharing no code.
+
 Usage with :func:`repro.oracle.assert_equivalent`::
 
     assert_equivalent(spark_join_df, PIP_JOIN_SQL, points=points_pdf,

@@ -13,7 +13,8 @@ from repro.core.covering import (
     classify_pairs,
     cover_polygons,
 )
-from repro.geometry.polygon import Polygon, PolygonSet, point_in_polygon
+from repro.geometry.polygon import Polygon, PolygonSet
+from tests.pip_helpers import inside_polygon
 
 EXT = 1024.0
 
@@ -82,7 +83,7 @@ class TestPrecisionCovering:
         x0, y0, x1, y1 = cellid.cell_bounds(ids[flags], sd.EXTENT)
         eps = 1e-9
         for sx, sy in [(x0 + eps, y0 + eps), ((x0 + x1) / 2, (y0 + y1) / 2), (x1 - eps, y1 - eps)]:
-            assert point_in_polygon(sx, sy, *poly.edges()).all()
+            assert inside_polygon(sx, sy, poly).all()
 
     def test_per_polygon_disjoint(self, neigh):
         ids, _, _ = cover_polygons(neigh, [0], sd.EXTENT, 9, np.inf, True)
@@ -97,7 +98,7 @@ class TestPrecisionCovering:
         g = np.random.default_rng(0)
         px = g.uniform(x0, x1, 3000)
         py = g.uniform(y0, y1, 3000)
-        inside = point_in_polygon(px, py, *poly.edges())
+        inside = inside_polygon(px, py, poly)
         pt = cellid.cell_from_point(px[inside], py[inside], sd.EXTENT)
         s = np.sort(ids)
         i = np.searchsorted(s, pt)
@@ -139,7 +140,7 @@ class TestBudgetedCoverings:
         g = np.random.default_rng(2)
         px = g.uniform(x0, x1, 2000)
         py = g.uniform(y0, y1, 2000)
-        inside = point_in_polygon(px, py, *poly.edges())
+        inside = inside_polygon(px, py, poly)
         pt = cellid.cell_from_point(px[inside], py[inside], sd.EXTENT)
         s = np.sort(ids)
         i = np.searchsorted(s, pt)
@@ -158,7 +159,7 @@ class TestBudgetedCoverings:
         for _ in range(3):
             sx = x0 + g.random(len(ids)) * (x1 - x0)
             sy = y0 + g.random(len(ids)) * (y1 - y0)
-            assert point_in_polygon(sx, sy, *poly.edges()).all()
+            assert inside_polygon(sx, sy, poly).all()
 
     def test_budget_limits_cells(self, neigh):
         small = cover_polygons(neigh, [2], sd.EXTENT, 14, 32, True)[0]

@@ -8,7 +8,7 @@ ones smaller than a boundary cell, for which the descent must still stop.
 """
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro import synth_data as sd
@@ -27,6 +27,7 @@ from repro.geometry.polygon import (
     point_in_polygon_set,
     point_to_polygon_distance,
 )
+from tests.pip_helpers import inside_polygon
 
 
 @pytest.mark.parametrize("name,poly_id", [("boroughs", 1), ("neighborhoods", 7), ("census", 30)])
@@ -69,8 +70,6 @@ def test_coverings_union_covers_polygon_area():
 
 def test_fractal_polygon_complete_covering():
     """The fractal borough boundary must still be fully covered."""
-    from repro.geometry.polygon import point_in_polygon
-
     pset = sd.polygon_dataset("boroughs", scale="test")
     poly = pset.polygons[1]
     ids, _, _ = cover_polygons(pset, [1], sd.EXTENT, 11, np.inf, True)
@@ -78,7 +77,7 @@ def test_fractal_polygon_complete_covering():
     x0, y0, x1, y1 = poly.mbr()
     px = g.uniform(x0, x1, 4000)
     py = g.uniform(y0, y1, 4000)
-    inside = point_in_polygon(px, py, *poly.edges())
+    inside = inside_polygon(px, py, poly)
     pt = cellid.cell_from_point(px[inside], py[inside], sd.EXTENT)
     s = np.sort(ids)
     i = np.searchsorted(s, pt)
@@ -103,6 +102,9 @@ def triangles(draw):
 
 @given(triangles(), st.sampled_from([8, 10, 12]))
 @settings(max_examples=60, deadline=None)
+# A vertical edge one ulp right of the cell border x = 0, and a diagonal
+# edge through cell corners.
+@example(Polygon(np.array([2.0**-52, 76.0, 2.0**-52]), np.array([0.0, 76.0, 76.0])), 13)
 def test_precision_covering_of_small_polygons(poly, level):
     """The descent stops for polygons whose seed cells are already finer
     than the boundary level, and classifies like the reference."""

@@ -5,17 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import synth_data as sd
-from repro.core import cellid
 from repro.geometry import polygon
 from repro.geometry.polygon import (
     Polygon,
     PolygonSet,
-    point_in_polygon,
     point_in_polygon_set,
     point_segment_distance,
     point_to_polygon_distance,
     segments_cross,
     segments_intersect_rects,
+)
+from tests.pip_helpers import (
+    adversarial_pairs,
+    adversarial_points,
+    inside_polygon,
+    oracle_contains,
 )
 
 
@@ -62,43 +66,42 @@ class TestPolygon:
 
 class TestPIP:
     def test_unit_square(self):
-        p = square()
         px = np.array([0.5, 1.5, -0.5, 0.99, 0.5])
         py = np.array([0.5, 0.5, 0.5, 0.01, 1.5])
-        got = point_in_polygon(px, py, *p.edges())
+        got = inside_polygon(px, py, square())
         np.testing.assert_array_equal(got, [True, False, False, True, False])
 
     def test_concave_notch(self):
-        p = concave()
         # (2, 2) sits in the notch (outside); (2, 0.5) in the base (inside).
-        got = point_in_polygon(np.array([2.0, 2.0, 0.5, 3.5]), np.array([2.0, 0.5, 3.0, 3.0]), *p.edges())
+        px, py = np.array([2.0, 2.0, 0.5, 3.5]), np.array([2.0, 0.5, 3.0, 3.0])
+        got = inside_polygon(px, py, concave())
         np.testing.assert_array_equal(got, [False, True, True, True])
 
     def test_empty_inputs(self):
-        p = square()
-        assert point_in_polygon(np.array([]), np.array([]), *p.edges()).shape == (0,)
-
-    def test_chunking_consistency(self):
-        g = np.random.default_rng(0)
-        px, py = g.uniform(-1, 2, 5000), g.uniform(-1, 2, 5000)
-        p = concave()
-        a = point_in_polygon(px, py, *p.edges())
-        b = point_in_polygon(px, py, *p.edges(), chunk=64)
-        np.testing.assert_array_equal(a, b)
+        assert inside_polygon(np.array([]), np.array([]), square()).shape == (0,)
 
     @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99))
     @settings(max_examples=30, deadline=None)
     def test_interior_always_inside(self, x, y):
-        assert point_in_polygon(np.array([x]), np.array([y]), *square().edges())[0]
+        assert inside_polygon(np.array([x]), np.array([y]), square())[0]
 
     def test_translation_invariance(self):
         g = np.random.default_rng(1)
         px, py = g.uniform(0, 4, 500), g.uniform(0, 4, 500)
         p = concave()
-        a = point_in_polygon(px, py, *p.edges())
-        p2 = Polygon(xs=p.xs + 100, ys=p.ys - 50)
-        b = point_in_polygon(px + 100, py - 50, *p2.edges())
+        a = inside_polygon(px, py, p)
+        b = inside_polygon(px + 100, py - 50, Polygon(xs=p.xs + 100, ys=p.ys - 50))
         np.testing.assert_array_equal(a, b)
+
+    def test_semi_open_boundary(self):
+        """A point on a non-horizontal edge belongs to the polygon on the
+        edge's +x side; on a horizontal edge or a vertex, the lower end is
+        closed and the upper end open."""
+        left, right = square(0, 0), square(1, 0)
+        px = np.array([1.0, 1.0, 0.5, 0.5, 0.0, 1.0, 1.0])
+        py = np.array([0.5, 0.0, 0.0, 1.0, 0.0, 1.0, 0.25])
+        np.testing.assert_array_equal(inside_polygon(px, py, left), [0, 0, 1, 0, 1, 0, 0])
+        np.testing.assert_array_equal(inside_polygon(px, py, right), [1, 1, 0, 0, 0, 0, 1])
 
 
 class TestPolygonSet:
@@ -117,9 +120,17 @@ class TestPolygonSet:
 
     def test_poly_edges_slices(self):
         ps = self.make_set()
-        x1, y1, x2, y2 = ps.poly_edges(1)
-        assert len(x1) == 4
-        assert x1.min() >= 1.0
+        a, b = ps.edge_offsets[1:3]
+        assert b - a == 4 and np.all(ps.edge_poly[a:b] == 1)
+        assert ps.edge_x1[a:b].min() >= 1.0
+
+    def test_edges_run_upwards(self):
+        """Every edge is stored with ``y1 <= y2``; ring order is kept by
+        ``Polygon.edges`` alone, so the signed area is unchanged."""
+        ps = self.make_set()
+        assert np.all(ps.edge_y1 <= ps.edge_y2)
+        x1, y1, x2, y2 = square().edges()
+        assert np.any(y1 > y2) and square().area() > 0
 
     def test_mbrs(self):
         ps = self.make_set()
@@ -138,58 +149,16 @@ class TestPolygonSet:
         assert len(pdf) == 12
 
 
-def pip_pairwise(px, py, polys, pset) -> np.ndarray:
-    """``point_in_polygon`` applied to each (point, polygon) pair on its own."""
-    return np.array(
-        [
-            point_in_polygon(px[i : i + 1], py[i : i + 1], *pset.poly_edges(int(p)))[0]
-            for i, p in enumerate(polys)
-        ],
-        bool,
-    )
-
-
-def adversarial_pairs(pset, seed=0):
-    """``(px, py, polys)``: points on vertices, on edges (horizontal ones
-    among them), on cell borders and corners, and taxi points, each paired
-    with every polygon whose MBR holds it and with one random polygon."""
-    g = np.random.default_rng(seed)
-    x1, y1, x2, y2 = pset.edge_x1, pset.edge_y1, pset.edge_x2, pset.edge_y2
-    t = g.uniform(0, 1, pset.n_edges)
-    flat = np.flatnonzero(y1 == y2)
-    assert len(flat), "no horizontal edge to test on"
-    tx, ty = sd.taxi_points(600, seed=seed)
-    cells = cellid.cell_from_point(tx[:200], ty[:200], sd.EXTENT)
-    cells = cellid.parent(cells, g.integers(6, 13, len(cells)))
-    bx0, by0, bx1, by1 = cellid.cell_bounds(cells, sd.EXTENT)
-    px = np.concatenate([
-        x1, (x1 + x2) / 2, x1 + t * (x2 - x1), x1[flat] + 0.25 * (x2 - x1)[flat],
-        bx0, bx0, (bx0 + bx1) / 2, tx,
-    ])
-    py = np.concatenate([
-        y1, (y1 + y2) / 2, y1 + t * (y2 - y1), y1[flat],
-        by0, (by0 + by1) / 2, by1, ty,
-    ])
-    b = pset.mbrs
-    near = (
-        (px[:, None] >= b[:, 0]) & (px[:, None] <= b[:, 2])
-        & (py[:, None] >= b[:, 1]) & (py[:, None] <= b[:, 3])
-    )
-    pt, poly = np.nonzero(near)
-    pt = np.concatenate([pt, np.arange(len(px))])
-    poly = np.concatenate([poly, g.integers(0, len(pset), len(px))])
-    return px[pt], py[pt], poly
-
-
 @pytest.fixture(scope="module", params=["boroughs", "neighborhoods", "census"])
 def pip_case(request):
     pset = sd.polygon_dataset(request.param, scale="test")
     px, py, polys = adversarial_pairs(pset)
-    return pset, px, py, polys, pip_pairwise(px, py, polys, pset)
+    return pset, px, py, polys, oracle_contains(px, py, polys, pset)
 
 
 class TestContains:
-    """``PolygonSet.contains`` is ``point_in_polygon``, pair by pair."""
+    """``PolygonSet.contains`` agrees with the SQL oracle ``PIP_JOIN_SQL``,
+    pair by pair, also on vertices, edges and cell borders."""
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("pair_chunk", [polygon._PAIR_CHUNK, 7])
@@ -209,6 +178,20 @@ class TestContains:
     def test_empty_input(self, pip_case, dtype):
         got = pip_case[0].contains(np.empty(0), np.empty(0), np.empty(0, dtype))
         assert got.shape == (0,) and got.dtype == bool
+
+
+@pytest.mark.parametrize("name", sd.POLYGON_DATASETS)
+def test_tiling_points_in_exactly_one_polygon(name):
+    """The test datasets tile the extent: every boundary-case point
+    strictly inside it, on shared edges and vertices too, lies in exactly
+    one polygon."""
+    pset = sd.polygon_dataset(name, scale="test")
+    px, py = adversarial_points(pset)
+    keep = (px > 0) & (px < sd.EXTENT) & (py > 0) & (py < sd.EXTENT)
+    pi, _ = point_in_polygon_set(px[keep], py[keep], pset)
+    n_polys = np.bincount(pi, minlength=np.count_nonzero(keep))
+    assert not np.any(n_polys == 0), f"{np.count_nonzero(n_polys == 0)} points in no polygon"
+    assert not np.any(n_polys > 1), f"{np.count_nonzero(n_polys > 1)} points in more than one"
 
 
 class TestSegmentRect:

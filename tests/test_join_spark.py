@@ -31,9 +31,10 @@ from repro.core.join import (
     spatial_join,
     spatial_join_stats,
 )
-from repro.geometry.polygon import point_in_polygon, point_to_polygon_distance
+from repro.geometry.polygon import point_to_polygon_distance
 from repro.geometry.sql_oracle import PIP_COUNT_SQL, PIP_JOIN_SQL
 from repro.oracle import assert_equivalent
+from tests.pip_helpers import adversarial_points, oracle_contains, points_frame
 
 N_POINTS = 4_000
 
@@ -139,6 +140,18 @@ class TestExactJoin:
         joined = spatial_join(spark, points_sdf, b).select("pid", "poly_id")
         assert_equivalent(
             joined, PIP_JOIN_SQL, points=points_pdf, edges=census.edges_pdf()
+        )
+
+    @pytest.mark.parametrize("name", sd.POLYGON_DATASETS)
+    def test_matches_sql_oracle_on_boundary_points(self, spark, name):
+        """Points on vertices, edges and cell borders: the join and the
+        oracle follow one boundary rule."""
+        pset = sd.polygon_dataset(name, scale="test")
+        pdf = points_frame(*adversarial_points(pset))
+        b = build_index(pset, sd.EXTENT, mode="accurate", precision_m=None)
+        joined = spatial_join(spark, spark.createDataFrame(pdf), b)
+        assert_equivalent(
+            joined.select("pid", "poly_id"), PIP_JOIN_SQL, points=pdf, edges=pset.edges_pdf()
         )
 
     def test_true_hits_marked(self, spark, points_sdf, exact_bundle):
@@ -248,23 +261,10 @@ class TestJoinStats:
             assert int(stats[k].iloc[0]) == v, k
 
 
-def refine_reference(px, py, rows, polys, is_true, pset):
-    """Per-polygon refinement: candidates grouped by polygon, one
-    ``point_in_polygon`` call per polygon."""
-    keep = is_true.copy()
-    cand = np.flatnonzero(~is_true)
-    order = cand[np.argsort(polys[cand], kind="stable")]
-    uniq, starts = np.unique(polys[order], return_index=True)
-    starts = np.append(starts, len(order))
-    for k, poly_id in enumerate(uniq):
-        sel = order[starts[k] : starts[k + 1]]
-        ex1, ey1, ex2, ey2 = pset.poly_edges(int(poly_id))
-        keep[sel] = point_in_polygon(px[rows[sel]], py[rows[sel]], ex1, ey1, ex2, ey2)
-    return keep
-
-
 @pytest.mark.parametrize("name", ["boroughs", "neighborhoods", "census"])
 def test_refine_candidates_matches_per_polygon_loop(name, points_pdf):
+    """The refinement keeps a (point, polygon) pair iff the SQL oracle
+    ``PIP_JOIN_SQL``, testing each polygon's edges, puts the point in it."""
     pset = sd.polygon_dataset(name, scale="test")
     bundle = build_index(pset, sd.EXTENT, mode="accurate", precision_m=None)
     ux, uy = sd.uniform_points(N_POINTS, seed=32)
@@ -272,7 +272,7 @@ def test_refine_candidates_matches_per_polygon_loop(name, points_pdf):
     py = np.concatenate([points_pdf.y.to_numpy(), uy])
     rows, polys, is_true = bundle.index.probe_refs(cellid.cell_from_point(px, py, sd.EXTENT))
     keep, n_pip = join.refine_candidates(px, py, rows, polys, is_true, pset)
-    want = refine_reference(px, py, rows, polys, is_true, pset)
+    want = oracle_contains(px[rows], py[rows], polys, pset)
     np.testing.assert_array_equal(keep, want)
     assert n_pip == (~is_true).sum()
     assert (keep & ~is_true).any() and (~keep).any()

@@ -1,4 +1,4 @@
-"""Tests for index training (§3.3.1) and precision refinement (§3.2)."""
+"""Tests for index training (§3.3.1)."""
 import sys
 
 import numpy as np
@@ -11,8 +11,9 @@ from repro.core import cellid
 from repro.core.join import build_index, compute_coverings, probe_batch
 from repro.core.supercovering import build_supercovering, merge_coverings
 from repro.core.covering import INTERIOR, OUTSIDE, classify_pairs, cover_polygons
-from repro.core.training import refine_to_precision, train_index
+from repro.core.training import train_index
 from repro.geometry.polygon import Polygon, PolygonSet, point_in_polygon_set
+from tests.pip_helpers import vertices
 
 
 @pytest.fixture(scope="module")
@@ -119,65 +120,6 @@ class TestTraining:
         assert not np.any(sc.candidate_mask()[hit] & (sc.levels()[hit] < 20))
 
 
-class TestRefineToPrecision:
-    def test_precision_guarantee(self, accurate_sc, neigh):
-        """After refinement, every candidate cell is at or below the level
-        implied by the precision bound."""
-        for precision in (60.0, 15.0):
-            sc = refine_to_precision(accurate_sc, neigh, precision)
-            target = cellid.min_level_for_precision(precision, sd.EXTENT)
-            cand_levels = sc.levels()[sc.candidate_mask()]
-            assert np.all(cand_levels >= target)
-            assert sc.validate_disjoint()
-
-    def test_refined_approx_join_within_bound(self, accurate_sc, neigh):
-        """An approx join over the refined covering is a superset of the
-        truth whose false positives are within the precision bound — the
-        same guarantee the direct precision build provides (§3.2)."""
-        from repro.geometry.polygon import point_to_polygon_distance
-
-        sc = refine_to_precision(accurate_sc, neigh, 15.0)
-        bundle = build_index(
-            neigh, sd.EXTENT, mode="approx", precision_m=15.0, supercov=sc
-        )
-        px, py = sd.taxi_points(5_000, seed=9)
-        rows, polys, _t, _s = probe_batch(bundle, px, py, exact=False)
-        got = set(zip(rows.tolist(), polys.tolist()))
-        pi, pg = point_in_polygon_set(px, py, neigh)
-        truth = set(zip(pi.tolist(), pg.tolist()))
-        assert truth <= got
-        for pid, poly in got - truth:
-            d = point_to_polygon_distance(
-                px[pid : pid + 1], py[pid : pid + 1], neigh.polygons[poly]
-            )[0]
-            assert d <= 15.0
-
-    def test_refined_join_exact_when_refine_applied(self, accurate_sc, neigh):
-        sc = refine_to_precision(accurate_sc, neigh, 15.0)
-        bundle = build_index(
-            neigh, sd.EXTENT, mode="accurate", precision_m=None, supercov=sc
-        )
-        qx, qy = sd.taxi_points(5_000, seed=10)
-        rows, polys, _t, stats = probe_batch(bundle, qx, qy, exact=True)
-        pi, pg = point_in_polygon_set(qx, qy, neigh)
-        assert set(zip(rows.tolist(), polys.tolist())) == set(
-            zip(pi.tolist(), pg.tolist())
-        )
-
-    def test_already_fine_unchanged(self, accurate_sc, neigh):
-        """A covering already at (or finer than) the precision level comes
-        back unchanged."""
-        fine = refine_to_precision(accurate_sc, neigh, 15.0)
-        for precision in (15.0, 60.0):
-            again = refine_to_precision(fine, neigh, precision)
-            for name in ("ids", "ref_offsets", "ref_poly", "ref_interior"):
-                np.testing.assert_array_equal(getattr(again, name), getattr(fine, name))
-
-    def test_refinement_grows_cells(self, accurate_sc, neigh):
-        sc = refine_to_precision(accurate_sc, neigh, 15.0)
-        assert sc.n_cells > accurate_sc.n_cells
-
-
 def merge_split(sc, cell_idx, pset):
     """What splitting ``cell_idx`` means: the merge of the untouched cells'
     refs, the split cells' true refs, and the 4 children of every
@@ -227,39 +169,30 @@ def hit_by(tx, ty, max_level=cellid.MAX_LEVEL - 2):
     return pick
 
 
-def coarser_than(precision_m):
-    """``pick`` for precision refinement."""
-    target = cellid.min_level_for_precision(precision_m, sd.EXTENT)
-    return lambda sc: sc.levels() < target
-
-
 def assert_same(got, want):
     for field in ("ids", "ref_offsets", "ref_poly", "ref_interior"):
         np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
         assert getattr(got, field).dtype == getattr(want, field).dtype
 
 
-def assert_refinement_equals_rounds(sc, pset, tx, ty, precisions):
+def assert_refinement_equals_rounds(sc, pset, tx, ty):
     """Returns the trained covering."""
     got, stats = train_index(sc, pset, tx, ty)
     want, rounds, refined = by_rounds(sc, pset, hit_by(tx, ty))
     assert_same(got, want)
     assert (stats.rounds, stats.cells_refined) == (rounds, refined)
-    for precision in precisions:
-        want, _, _ = by_rounds(sc, pset, coarser_than(precision))
-        assert_same(refine_to_precision(sc, pset, precision), want)
     return got
 
 
 @pytest.mark.parametrize("name", ["neighborhoods", "boroughs"])
 def test_split_equals_merge(name):
     """One descent from the split cells equals rounds of "split every
-    selected cell by one level, re-merge", array for array and with the
-    same statistics, for training and for precision refinement."""
+    hit cell by one level, re-merge", array for array and with the same
+    statistics."""
     pset = sd.polygon_dataset(name, scale="test")
     sc = merge_coverings(compute_coverings(pset, sd.EXTENT, "accurate"), sd.EXTENT)
     tx, ty = sd.taxi_points(10_000, seed=1)
-    assert_refinement_equals_rounds(sc, pset, tx, ty, (60.0, 15.0))
+    assert_refinement_equals_rounds(sc, pset, tx, ty)
 
 
 @st.composite
@@ -293,14 +226,15 @@ def test_refinement_equals_rounds_on_random_polygons(polygons, seed):
     sc = merge_coverings(compute_coverings(pset, sd.EXTENT, "accurate"), sd.EXTENT)
     g = np.random.default_rng(seed)
     # Uniform points, and points clustered around the polygons' vertices.
-    near = np.repeat(np.arange(len(pset.edge_x1)), 50)
+    vx, vy = vertices(pset)
+    near = np.repeat(np.arange(len(vx)), 50)
     tx, ty = (
         np.concatenate([o + g.uniform(0, 2000, 200), v[near] + g.normal(0, 20, len(near))])
-        for o, v in ((x0, pset.edge_x1), (y0, pset.edge_y1))
+        for o, v in ((x0, vx), (y0, vy))
     )
-    trained = assert_refinement_equals_rounds(sc, pset, tx, ty, (60.0,))
-    qx = np.concatenate([x0 + g.uniform(0, 2000, 2000), pset.edge_x1])
-    qy = np.concatenate([y0 + g.uniform(0, 2000, 2000), pset.edge_y1])
+    trained = assert_refinement_equals_rounds(sc, pset, tx, ty)
+    qx = np.concatenate([x0 + g.uniform(0, 2000, 2000), vx])
+    qy = np.concatenate([y0 + g.uniform(0, 2000, 2000), vy])
     joins = []
     for cov in (sc, trained):
         bundle = build_index(pset, sd.EXTENT, mode="accurate", precision_m=None, supercov=cov)
@@ -326,4 +260,3 @@ def test_build_has_one_classifier(monkeypatch):
     sc = merge_coverings(compute_coverings(pset, sd.EXTENT, "accurate"), sd.EXTENT)
     tx, ty = sd.taxi_points(2_000, seed=1)
     assert train_index(sc, pset, tx, ty)[1].rounds > 0
-    assert refine_to_precision(sc, pset, 15.0).n_cells > sc.n_cells
