@@ -48,7 +48,14 @@ os.environ.setdefault(
 )
 
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
+
+# Every Hypothesis property checks the same examples on every run: drawn
+# from a fixed seed, and with no example database replaying earlier
+# failures. A hard case found once is kept as an explicit ``@example``.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,8 @@
 
 Builds the polygon index on the driver, joins a synthetic point DataFrame
 against it with the approximate or accurate algorithm, and prints the
-per-polygon counts the paper's probe phase computes.
+per-polygon counts the paper's probe phase computes: the top 20 polygons,
+and the total number of pairs as the sum of the counts (one join).
 
 Usage: spark-submit jobs/spatial_join.py [--dataset neighborhoods]
        [--mode approx|accurate] [--precision 4] [--points 1000000]
@@ -35,10 +36,10 @@ def main() -> None:
             structure="act4",
         )
         points = sd.points_df(spark, args.kind, args.points)
-        joined = spatial_join(spark, points, bundle)
-        counts = count_per_polygon(joined).orderBy("n_points", ascending=False)
-        counts.show(20)
-        print(f"total pairs: {joined.count()}  (index cells: {bundle.n_cells})")
+        counts = count_per_polygon(spatial_join(spark, points, bundle)).toPandas()
+        counts = counts.sort_values(["n_points", "poly_id"], ascending=[False, True])
+        print(counts.head(20).to_string(index=False))
+        print(f"total pairs: {counts['n_points'].sum()}  (index cells: {bundle.n_cells})")
     finally:
         spark.stop()
 

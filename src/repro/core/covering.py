@@ -16,9 +16,8 @@ their coverings (``join.compute_coverings``):
   They overlap, so merging them exercises the paper's precision-preserving
   conflict resolution (Listing 1 / Figure 4).
 
-Index training and precision refinement (``training.py``) are the same
-walk, :func:`_walk`, from the cells they split. :func:`classify_pairs` is
-the flat test reference, not a build step.
+Index training (``training.py``) is the same walk, :func:`_walk`, from
+the cells it splits.
 
 Classification engine
 ---------------------
@@ -57,8 +56,6 @@ from repro.geometry.polygon import (
     segments_intersect_rects,
 )
 
-OUTSIDE, BOUNDARY, INTERIOR = 0, 1, 2
-
 # A descent starts from at most this many cells over the polygon's MBR.
 _MAX_SEED_CELLS = 8
 
@@ -95,27 +92,6 @@ def _centers_inside(
     """Whether each cell's center lies inside its polygon ``polys[row]``."""
     x0, y0, x1, y1 = cellid.cell_bounds(cells, extent)
     return pset.contains((x0 + x1) / 2, (y0 + y1) / 2, polys)
-
-
-def classify_pairs(
-    ids: np.ndarray, polys: np.ndarray, pset: PolygonSet, extent: float
-) -> np.ndarray:
-    """Classify each cell ``ids[i]`` as OUTSIDE / BOUNDARY / INTERIOR wrt
-    polygon ``polys[i]`` of ``pset``.
-
-    Exact but non-hierarchical (tests every edge of the polygon): the test
-    reference for the hierarchical engine, which no build step calls. All
-    pairs are classified in one pass, whatever their polygons.
-    """
-    ids = np.asarray(ids, np.int64)
-    polys = np.asarray(polys, np.int64)
-    boundary = np.zeros(len(ids), dtype=bool)
-    boundary[_clip_to_polygons(ids, polys, pset, extent)[0]] = True
-    rest = np.flatnonzero(~boundary)
-    out = np.full(len(ids), BOUNDARY, np.int8)
-    inside = _centers_inside(ids[rest], polys[rest], pset, extent)
-    out[rest] = np.where(inside, INTERIOR, OUTSIDE)
-    return out
 
 
 @dataclass

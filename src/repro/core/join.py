@@ -24,6 +24,10 @@ by ``probe_batch`` and never paired. The kernel probes chunks of at least
 ``_CHUNK_ROWS`` rows, not Arrow's 10 K-row batches, so the fixed cost per
 probe (and, in exact mode, per refinement call) is paid a few times per
 partition instead of once per batch.
+
+``count_per_polygon`` of a ``spatial_join`` result counts in the probe
+kernel, as the paper's probe phase does (Listing 3): only ``x, y`` cross
+into Python, and only each chunk's ``(poly_id, n)`` rows come back.
 """
 from __future__ import annotations
 
@@ -274,6 +278,11 @@ _JOIN_ARROW_SCHEMA = pa.schema(
     [("pid", pa.int64()), ("poly_id", pa.int64()), ("true_hit", pa.bool_())]
 )
 
+#: Output of ``count_per_polygon``'s kernel: each chunk's distinct
+#: polygons and their pair counts.
+_COUNT_SCHEMA = "poly_id long, n long"
+_COUNT_ARROW_SCHEMA = pa.schema([("poly_id", pa.int64()), ("n", pa.int64())])
+
 #: ``probe_batch`` counters that ``spatial_join_stats`` sums, and the
 #: pairs the join emits.
 _STATS = ("points", "rejected_points", "true_pairs", "cand_pairs", "pip_tests", "sth_points")
@@ -299,8 +308,8 @@ def _float64(column: pa.Array) -> np.ndarray:
 
 
 #: Rows the join kernels probe at once, at least: Arrow's batches (10 K
-#: rows by default) are concatenated up to this size. ``spatial_join`` and
-#: ``spatial_join_stats`` read it when called, not on the executors.
+#: rows by default) are concatenated up to this size. The functions that
+#: start a kernel read it when called, not on the executors.
 _CHUNK_ROWS = 131072
 
 #: Guards ``_bundle_broadcast``'s check-then-create: queries on one bundle
@@ -368,7 +377,7 @@ def _concat(batches: list[pa.RecordBatch]) -> pa.RecordBatch:
 def _probe_chunks(
     bc: Broadcast, batches: Iterator[pa.RecordBatch], exact: bool, chunk_rows: int
 ) -> Iterator[tuple]:
-    """The body both join kernels share: ``probe_batch`` over the ``x``,
+    """The body every join kernel shares: ``probe_batch`` over the ``x``,
     ``y`` columns of each chunk of ``batches``, yielding
     ``(chunk, point_row, poly_id, true_hit, stats)``."""
     try:
@@ -395,11 +404,15 @@ def spatial_join(
     candidates).
 
     The bundle is broadcast on its first join in this context, and every
-    later join (and ``spatial_join_stats``) reuses that broadcast, so the
-    Python workers keep it unpickled between queries. Each task probes its
-    partition in chunks of at least ``_CHUNK_ROWS`` rows, emits one output
-    batch per chunk, and finally evicts the worker's zip importers
-    (``_drop_zip_importers``), so the next task does not re-read them.
+    later join (and ``spatial_join_stats`` and ``count_per_polygon``)
+    reuses that broadcast, so the Python workers keep it unpickled between
+    queries. Each task probes its partition in chunks of at least
+    ``_CHUNK_ROWS`` rows, emits one output batch per chunk, and finally
+    evicts the worker's zip importers (``_drop_zip_importers``), so the
+    next task does not re-read them.
+
+    The returned DataFrame records ``points_df``, ``bundle`` and ``exact``,
+    so that ``count_per_polygon`` of it counts in the probe kernel.
     """
     if exact is None:
         exact = bundle.mode == "accurate"
@@ -417,7 +430,10 @@ def spatial_join(
                 schema=_JOIN_ARROW_SCHEMA,
             )
 
-    return _project(points_df, ("pid", "x", "y")).mapInArrow(kernel, _JOIN_SCHEMA)
+    joined = _project(points_df, ("pid", "x", "y")).mapInArrow(kernel, _JOIN_SCHEMA)
+    # Only this object carries them: ``select`` and the like drop them.
+    joined._join_inputs = (points_df, bundle, exact)
+    return joined
 
 
 def spatial_join_stats(
@@ -454,5 +470,32 @@ def spatial_join_stats(
 
 
 def count_per_polygon(join_df: DataFrame) -> DataFrame:
-    """The paper's probe-phase measurement: points per polygon."""
-    return join_df.groupBy("poly_id").count().withColumnRenamed("count", "n_points")
+    """The paper's probe-phase measurement: points per polygon, as
+    ``poly_id long, n_points long``, without polygons of no point.
+
+    When ``join_df`` is the very DataFrame ``spatial_join`` returned, the
+    count runs in the probe kernel: one ``mapInArrow`` pass over the
+    points' ``x`` and ``y`` emits each chunk's distinct polygons and their
+    counts (memory bounded by the chunk, not by the number of polygons),
+    and a ``groupBy`` sums them. ``cache()`` and ``persist()`` return that
+    same object, so a cached join result is still counted from the points.
+    Any other DataFrame (``spatial_join(...).filter("true_hit")``, a
+    ``select`` of it, ...) is grouped by ``poly_id`` and counted as is.
+    """
+    inputs = getattr(join_df, "_join_inputs", None)
+    if inputs is None:
+        return join_df.groupBy("poly_id").count().withColumnRenamed("count", "n_points")
+    points_df, bundle, exact = inputs
+    bc = _bundle_broadcast(points_df.sparkSession.sparkContext, bundle)
+    chunk_rows = _CHUNK_ROWS
+
+    def kernel(batches):
+        for _chunk, _rows, polys, _t, _stats in _probe_chunks(bc, batches, exact, chunk_rows):
+            ids, n = np.unique(polys, return_counts=True)
+            yield pa.RecordBatch.from_arrays(
+                [pa.array(ids.astype(np.int64, copy=False)), pa.array(n)],
+                schema=_COUNT_ARROW_SCHEMA,
+            )
+
+    counts = _project(points_df, ("x", "y")).mapInArrow(kernel, _COUNT_SCHEMA)
+    return counts.groupBy("poly_id").agg(F.sum("n").alias("n_points"))

@@ -6,14 +6,9 @@ import pytest
 
 from repro import synth_data as sd
 from repro.core import cellid
-from repro.core.covering import (
-    BOUNDARY,
-    INTERIOR,
-    OUTSIDE,
-    classify_pairs,
-    cover_polygons,
-)
+from repro.core.covering import cover_polygons
 from repro.geometry.polygon import Polygon, PolygonSet
+from tests.covering_reference import INTERIOR, OUTSIDE, classify_pairs
 from tests.pip_helpers import inside_polygon
 
 EXT = 1024.0

@@ -14,12 +14,7 @@ from hypothesis import strategies as st
 from repro import synth_data as sd
 from repro.baselines.shapeindex import build_shapeindex
 from repro.core import cellid
-from repro.core.covering import (
-    BOUNDARY,
-    INTERIOR,
-    classify_pairs,
-    cover_polygons,
-)
+from repro.core.covering import cover_polygons
 from repro.core.join import build_index, compute_coverings, probe_batch
 from repro.geometry.polygon import (
     Polygon,
@@ -27,6 +22,7 @@ from repro.geometry.polygon import (
     point_in_polygon_set,
     point_to_polygon_distance,
 )
+from tests.covering_reference import BOUNDARY, INTERIOR, classify_pairs
 from tests.pip_helpers import inside_polygon
 
 

@@ -8,6 +8,7 @@ superset whose false positives stay within the precision bound.
 import gc
 import os
 import pickle
+import re
 import sys
 import zipfile
 import zipimport
@@ -79,6 +80,36 @@ def pairs(joined):
     return set(map(tuple, joined.select("pid", "poly_id").toPandas().to_numpy().tolist()))
 
 
+def sorted_counts(counts):
+    """``count_per_polygon``'s rows as a pandas frame in polygon order."""
+    return counts.toPandas().sort_values("poly_id").reset_index(drop=True)
+
+
+def kernel_inputs(df):
+    """The columns the ``MapInArrow`` of ``df``'s executed plan reads,
+    after ``df`` has run."""
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    found = set(re.findall(r"MapInArrow \w+\(([^)]*)\)", plan))
+    assert len(found) == 1, plan
+    return [a.split("#")[0] for a in found.pop().split(", ")]
+
+
+def assert_counts_pushed_down(joined):
+    """``count_per_polygon(joined)`` counts in the probe kernel, which
+    reads only ``x`` and ``y``, and its rows equal the ``groupBy`` over
+    ``joined``'s pairs (``select`` drops the pushdown); returns them."""
+    pushed = count_per_polygon(joined)
+    got = sorted_counts(pushed)
+    assert kernel_inputs(pushed) == ["x", "y"]
+    grouped = count_per_polygon(joined.select("*"))
+    want = sorted_counts(grouped)
+    assert kernel_inputs(grouped) == ["pid", "x", "y"]
+    assert list(got.columns) == ["poly_id", "n_points"]
+    assert dict(pushed.dtypes) == dict(grouped.dtypes) == {"poly_id": "bigint", "n_points": "bigint"}
+    pd.testing.assert_frame_equal(got, want)
+    return got
+
+
 @pytest.fixture(scope="module")
 def exact_bundle(neigh):
     return build_index(neigh, sd.EXTENT, mode="accurate", precision_m=None)
@@ -99,12 +130,14 @@ class TestExactJoin:
     def test_counts_match_sql_oracle(
         self, spark, neigh, points_pdf, points_sdf, exact_bundle
     ):
-        """The paper's probe-phase aggregate: points per polygon."""
+        """The paper's probe-phase aggregate: points per polygon, counted
+        in the probe kernel."""
         joined = spatial_join(spark, points_sdf, exact_bundle)
         counts = count_per_polygon(joined)
         assert_equivalent(
             counts, PIP_COUNT_SQL, points=points_pdf, edges=neigh.edges_pdf()
         )
+        assert kernel_inputs(counts) == ["x", "y"]
 
     def test_all_structures_agree(self, spark, neigh, points_sdf):
         results = []
@@ -400,6 +433,7 @@ class TestChunking:
             exact = spatial_join(spark, sdf, exact_bundle).select("pid", "poly_id")
             assert_equivalent(exact, PIP_JOIN_SQL, points=points_pdf, edges=neigh.edges_pdf())
             assert pairs(spatial_join(spark, sdf, approx_bundle)) == default_approx
+            assert_counts_pushed_down(spatial_join(spark, sdf, exact_bundle))
             stats = spatial_join_stats(spark, sdf, exact_bundle)
         finally:
             spark.conf.set(key, old)
@@ -432,6 +466,82 @@ class TestChunking:
         stats = spatial_join_stats(spark, empty, bundle)
         assert len(stats) == 1
         assert all(int(stats[k].iloc[0]) == 0 for k in driver)
+
+
+class TestCountPushdown:
+    """``count_per_polygon`` of a ``spatial_join`` result counts points per
+    polygon inside the probe kernel; the result equals the ``groupBy``
+    over the join's pairs, row for row."""
+
+    @pytest.mark.parametrize("bundle_name", ["approx_bundle", "exact_bundle"])
+    def test_equals_groupby_over_pairs(self, request, spark, points_sdf, bundle_name):
+        bundle = request.getfixturevalue(bundle_name)
+        got = assert_counts_pushed_down(spatial_join(spark, points_sdf, bundle))
+        assert len(got) > 1 and (got["n_points"] > 0).all()
+
+    @pytest.mark.parametrize("name", sd.POLYGON_DATASETS)
+    def test_exact_counts_match_sql_oracle_on_boundary_points(self, spark, name):
+        pset = sd.polygon_dataset(name, scale="test")
+        pdf = points_frame(*adversarial_points(pset))
+        b = build_index(pset, sd.EXTENT, mode="accurate", precision_m=None)
+        joined = spatial_join(spark, spark.createDataFrame(pdf).repartition(3), b)
+        assert_equivalent(
+            count_per_polygon(joined), PIP_COUNT_SQL, points=pdf, edges=pset.edges_pdf()
+        )
+        assert_counts_pushed_down(joined)
+
+    @pytest.mark.parametrize("bundle_name", ["approx_bundle", "exact_bundle"])
+    def test_invalid_empty_and_sparse_inputs(
+        self, request, spark, points_pdf, points_sdf, invalid_sdf, bundle_name
+    ):
+        """Null, NaN, infinite and out-of-extent points are counted in no
+        polygon; empty inputs and empty partitions give no rows."""
+        bundle = request.getfixturevalue(bundle_name)
+        valid = assert_counts_pushed_down(spatial_join(spark, points_sdf, bundle))
+        mixed = points_sdf.unionByName(invalid_sdf).repartition(5)
+        pd.testing.assert_frame_equal(
+            assert_counts_pushed_down(spatial_join(spark, mixed, bundle)), valid
+        )
+        assert count_per_polygon(spatial_join(spark, invalid_sdf, bundle)).count() == 0
+        empty = spark.createDataFrame([], "pid long, x double, y double")
+        assert count_per_polygon(spatial_join(spark, empty, bundle)).count() == 0
+
+        three = points_pdf.iloc[:3]
+        sparse = spark.createDataFrame(three).repartition(16)
+        _rows, polys, _t, _s = probe_batch(
+            bundle, three["x"].to_numpy(), three["y"].to_numpy(), bundle.mode == "accurate"
+        )
+        got = assert_counts_pushed_down(spatial_join(spark, sparse, bundle))
+        ids, n = np.unique(polys, return_counts=True)
+        assert got["poly_id"].tolist() == ids.tolist()
+        assert got["n_points"].tolist() == n.tolist()
+
+    def test_filtered_join_is_grouped(self, spark, points_sdf, exact_bundle):
+        """A DataFrame derived from the join result counts its own rows."""
+        joined = spatial_join(spark, points_sdf, exact_bundle)
+        counts = count_per_polygon(joined.filter("true_hit"))
+        got = sorted_counts(counts)
+        assert kernel_inputs(counts) == ["pid", "x", "y"]
+        hits = joined.toPandas()
+        want = (
+            hits[hits["true_hit"]].groupby("poly_id").size().rename("n_points").reset_index()
+        )
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+        assert got["n_points"].sum() < len(hits)
+
+    def test_cached_join_counts_from_points(self, spark, points_sdf, approx_bundle):
+        """``cache()`` returns the join result itself, which keeps its
+        inputs: the count still runs over the points' ``x`` and ``y``."""
+        joined = spatial_join(spark, points_sdf, approx_bundle)
+        want = sorted_counts(count_per_polygon(joined.select("*")))
+        assert joined.cache() is joined
+        try:
+            joined.count()
+            counts = count_per_polygon(joined)
+            pd.testing.assert_frame_equal(sorted_counts(counts), want)
+            assert kernel_inputs(counts) == ["x", "y"]
+        finally:
+            joined.unpersist()
 
 
 class _FakeBroadcast:
@@ -480,6 +590,7 @@ class TestBroadcastOnce:
         first = _broadcast_id(sc, b)
         spatial_join(spark, points_sdf, b).count()
         spatial_join_stats(spark, points_sdf, b)
+        count_per_polygon(spatial_join(spark, points_sdf, b)).collect()
         assert _broadcast_id(sc, b) == first
         # The cached broadcast is not part of the bundle's pickled state.
         assert pickle.dumps(b, protocol=pickle.HIGHEST_PROTOCOL) == pickled

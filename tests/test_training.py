@@ -10,9 +10,11 @@ from repro import synth_data as sd
 from repro.core import cellid
 from repro.core.join import build_index, compute_coverings, probe_batch
 from repro.core.supercovering import build_supercovering, merge_coverings
-from repro.core.covering import INTERIOR, OUTSIDE, classify_pairs, cover_polygons
+from repro.core.covering import cover_polygons
 from repro.core.training import train_index
 from repro.geometry.polygon import Polygon, PolygonSet, point_in_polygon_set
+from tests import covering_reference
+from tests.covering_reference import INTERIOR, OUTSIDE
 from tests.pip_helpers import vertices
 
 
@@ -134,7 +136,7 @@ def merge_split(sc, cell_idx, pset):
     cand = ref_split & ~sc.ref_interior
     for p in np.unique(sc.ref_poly[cand]):
         kids = cellid.children(ref_ids[cand & (sc.ref_poly == p)]).ravel()
-        cls = classify_pairs(kids, np.full(len(kids), p, np.int64), pset, sc.extent)
+        cls = covering_reference.classify_pairs(kids, np.full(len(kids), p, np.int64), pset, sc.extent)
         hit = cls != OUTSIDE
         cells.append(kids[hit])
         polys.append(np.full(int(hit.sum()), p, np.int32))
@@ -245,18 +247,18 @@ def test_refinement_equals_rounds_on_random_polygons(polygons, seed):
 
 def test_build_has_one_classifier(monkeypatch):
     """Every build path classifies cells with the covering descent alone:
-    the flat reference ``classify_pairs`` is never called."""
+    the flat reference ``classify_pairs`` lives in the tests, no ``repro.``
+    module holds it, and the builds run with it patched to raise."""
 
     def flat_classifier(*args):
         raise AssertionError("classify_pairs called by the build")
 
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("repro."):
-            if hasattr(module, "classify_pairs"):
-                monkeypatch.setattr(module, "classify_pairs", flat_classifier)
+    monkeypatch.setattr(covering_reference, "classify_pairs", flat_classifier)
     pset = sd.polygon_dataset("neighborhoods", scale="test")
     build_index(pset, sd.EXTENT, mode="approx", precision_m=4.0)
     build_index(pset, sd.EXTENT, mode="accurate", precision_m=None)
     sc = merge_coverings(compute_coverings(pset, sd.EXTENT, "accurate"), sd.EXTENT)
     tx, ty = sd.taxi_points(2_000, seed=1)
     assert train_index(sc, pset, tx, ty)[1].rounds > 0
+    loaded = [m for m in list(sys.modules.values()) if getattr(m, "__name__", "").startswith("repro.")]
+    assert loaded and not any(hasattr(m, "classify_pairs") for m in loaded)
