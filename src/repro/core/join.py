@@ -23,7 +23,10 @@ Points that are null, not finite or outside the index extent are rejected
 by ``probe_batch`` and never paired. The kernel probes chunks of at least
 ``_CHUNK_ROWS`` rows, not Arrow's 10 K-row batches, so the fixed cost per
 probe (and, in exact mode, per refinement call) is paid a few times per
-partition instead of once per batch.
+partition instead of once per batch. Unless the session set it, Spark's
+Arrow byte cap is lifted to ``Int.MaxValue`` for the session, so the JVM
+does not measure each input batch after every row; the record cap (10 K
+rows by default) still ends every batch.
 
 ``count_per_polygon`` of a ``spatial_join`` result counts in the probe
 kernel, as the paper's probe phase does (Listing 3): only ``x, y`` cross
@@ -293,9 +296,33 @@ _STATS_ARROW_SCHEMA = pa.schema([(k, pa.int64()) for k in _STATS_COLUMNS])
 _INPUT_TYPES = {"pid": "long", "x": "double", "y": "double"}
 
 
+#: Spark's Arrow batch caps. Unless the byte cap is ``Int.MaxValue``, the
+#: JVM's Arrow writer measures the whole batch after every row it appends.
+#: A kernel's input rows are fixed-width (at most 24 B), so the record cap
+#: ends each batch long before Spark's default byte cap (64 MiB) could.
+_ARROW_MAX_BYTES = "spark.sql.execution.arrow.maxBytesPerBatch"
+_ARROW_MAX_RECORDS = "spark.sql.execution.arrow.maxRecordsPerBatch"
+_JVM_INT_MAX = "2147483647"
+
+
+def _lift_arrow_byte_cap(spark: SparkSession) -> None:
+    """Set the session's Arrow byte cap to ``Int.MaxValue`` when the session
+    left it unset and a positive record cap still bounds every batch.
+
+    Spark reads the cap in each task, when the query runs, so it is set in
+    the session rather than for one query; it holds for the session's other
+    Arrow operators too.
+    """
+    conf = spark.conf
+    if conf.get(_ARROW_MAX_BYTES, None) is None and int(conf.get(_ARROW_MAX_RECORDS)) > 0:
+        conf.set(_ARROW_MAX_BYTES, _JVM_INT_MAX)
+
+
 def _project(points_df: DataFrame, columns: tuple[str, ...]) -> DataFrame:
     """Only the columns a kernel reads, cast to the types it reads them as,
-    so no other column crosses into Python."""
+    so no other column crosses into Python. Every kernel's input is built
+    here, so this is where the session's Arrow byte cap is lifted."""
+    _lift_arrow_byte_cap(points_df.sparkSession)
     return points_df.select(*(F.col(c).cast(_INPUT_TYPES[c]).alias(c) for c in columns))
 
 
@@ -411,6 +438,10 @@ def spatial_join(
     evicts the worker's zip importers (``_drop_zip_importers``), so the
     next task does not re-read them.
 
+    It writes ``spark.sql.execution.arrow.maxBytesPerBatch`` to
+    ``Int.MaxValue`` in the session when the session has not set it and
+    ``maxRecordsPerBatch`` is positive (``_lift_arrow_byte_cap``).
+
     The returned DataFrame records ``points_df``, ``bundle`` and ``exact``,
     so that ``count_per_polygon`` of it counts in the probe kernel.
     """
@@ -447,7 +478,8 @@ def spatial_join_stats(
     The paper reports these (e.g. the solely-true-hits metric of Table 7);
     each partition emits one counter row, aggregated on the driver. The
     kernel reads only ``x`` and ``y``, and probes the same chunks over the
-    same broadcast as ``spatial_join``.
+    same broadcast as ``spatial_join``, and writes the session's Arrow
+    byte cap as ``spatial_join`` does.
     """
     if exact is None:
         exact = bundle.mode == "accurate"
@@ -481,6 +513,8 @@ def count_per_polygon(join_df: DataFrame) -> DataFrame:
     same object, so a cached join result is still counted from the points.
     Any other DataFrame (``spatial_join(...).filter("true_hit")``, a
     ``select`` of it, ...) is grouped by ``poly_id`` and counted as is.
+    The counting kernel writes the session's Arrow byte cap as
+    ``spatial_join`` does.
     """
     inputs = getattr(join_df, "_join_inputs", None)
     if inputs is None:

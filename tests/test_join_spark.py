@@ -110,6 +110,31 @@ def assert_counts_pushed_down(joined):
     return got
 
 
+@pytest.fixture
+def arrow_confs(spark):
+    """The session's conf, with its Arrow batch caps restored after the
+    test exactly as the test found them: a cap the session had not set is
+    unset again, not set to Spark's default."""
+    keys = (join._ARROW_MAX_BYTES, join._ARROW_MAX_RECORDS)
+    found = {k: spark.conf.get(k, None) for k in keys}
+    yield spark.conf
+    for k, v in found.items():
+        if v is None:
+            spark.conf.unset(k)
+        else:
+            spark.conf.set(k, v)
+
+
+def batch_rows(df) -> list[int]:
+    """The row count of every Arrow batch a kernel over ``df``'s ``x, y``
+    receives."""
+    sizes = join._project(df, ("x", "y")).mapInArrow(
+        lambda batches: (pa.RecordBatch.from_pydict({"n": [b.num_rows]}) for b in batches),
+        "n long",
+    )
+    return [r.n for r in sizes.collect()]
+
+
 @pytest.fixture(scope="module")
 def exact_bundle(neigh):
     return build_index(neigh, sd.EXTENT, mode="accurate", precision_m=None)
@@ -419,24 +444,19 @@ class TestChunking:
         assert list(_chunks(iter([]), 1000)) == []
 
     def test_small_batches_several_chunks(
-        self, spark, monkeypatch, neigh, points_pdf, approx_bundle, exact_bundle
+        self, spark, arrow_confs, monkeypatch, neigh, points_pdf, approx_bundle, exact_bundle
     ):
         """97-row Arrow batches and 1,000-row chunks: each of the two
         partitions (2,000 rows) forms a full chunk and a short one."""
         sdf = spark.createDataFrame(points_pdf).repartition(2)
         default_approx = pairs(spatial_join(spark, sdf, approx_bundle))
-        key = "spark.sql.execution.arrow.maxRecordsPerBatch"
-        old = spark.conf.get(key)
-        spark.conf.set(key, "97")
+        arrow_confs.set(join._ARROW_MAX_RECORDS, "97")
         monkeypatch.setattr(join, "_CHUNK_ROWS", 1000)
-        try:
-            exact = spatial_join(spark, sdf, exact_bundle).select("pid", "poly_id")
-            assert_equivalent(exact, PIP_JOIN_SQL, points=points_pdf, edges=neigh.edges_pdf())
-            assert pairs(spatial_join(spark, sdf, approx_bundle)) == default_approx
-            assert_counts_pushed_down(spatial_join(spark, sdf, exact_bundle))
-            stats = spatial_join_stats(spark, sdf, exact_bundle)
-        finally:
-            spark.conf.set(key, old)
+        exact = spatial_join(spark, sdf, exact_bundle).select("pid", "poly_id")
+        assert_equivalent(exact, PIP_JOIN_SQL, points=points_pdf, edges=neigh.edges_pdf())
+        assert pairs(spatial_join(spark, sdf, approx_bundle)) == default_approx
+        assert_counts_pushed_down(spatial_join(spark, sdf, exact_bundle))
+        stats = spatial_join_stats(spark, sdf, exact_bundle)
         rows, _p, _t, driver = probe_batch(
             exact_bundle, points_pdf["x"].to_numpy(), points_pdf["y"].to_numpy(), exact=True
         )
@@ -466,6 +486,56 @@ class TestChunking:
         stats = spatial_join_stats(spark, empty, bundle)
         assert len(stats) == 1
         assert all(int(stats[k].iloc[0]) == 0 for k in driver)
+
+
+class TestArrowByteCap:
+    """The kernels' input lifts Spark's Arrow byte cap, which makes the JVM
+    measure each batch after every row, only when the session left it
+    unset and a positive record cap still bounds every batch."""
+
+    def test_lifted_when_unset(self, spark, arrow_confs, points_sdf, approx_bundle):
+        arrow_confs.unset(join._ARROW_MAX_BYTES)
+        assert arrow_confs.get(join._ARROW_MAX_BYTES, None) is None
+        assert spatial_join(spark, points_sdf, approx_bundle).count() > 0
+        assert arrow_confs.get(join._ARROW_MAX_BYTES) == "2147483647"
+        # The record cap alone still ends every batch.
+        arrow_confs.set(join._ARROW_MAX_RECORDS, "300")
+        rows = batch_rows(points_sdf)
+        assert sum(rows) == N_POINTS and max(rows) == 300
+
+    def test_explicit_cap_kept(
+        self, spark, arrow_confs, neigh, points_pdf, points_sdf, approx_bundle, exact_bundle
+    ):
+        """Under a 1 KiB cap, batches of a few dozen rows, the join gives
+        the default session's pairs, counts and stats."""
+        arrow_confs.unset(join._ARROW_MAX_BYTES)
+        want = {}
+        for name, bundle in (("approx", approx_bundle), ("exact", exact_bundle)):
+            joined = spatial_join(spark, points_sdf, bundle)
+            want[name] = (
+                pairs(joined),
+                sorted_counts(count_per_polygon(joined)),
+                spatial_join_stats(spark, points_sdf, bundle),
+            )
+        arrow_confs.set(join._ARROW_MAX_BYTES, "1k")
+        rows = batch_rows(points_sdf)
+        assert sum(rows) == N_POINTS and max(rows) < 100
+        for name, bundle in (("approx", approx_bundle), ("exact", exact_bundle)):
+            joined = spatial_join(spark, points_sdf, bundle)
+            want_pairs, want_counts, want_stats = want[name]
+            assert pairs(joined) == want_pairs
+            pd.testing.assert_frame_equal(assert_counts_pushed_down(joined), want_counts)
+            pd.testing.assert_frame_equal(spatial_join_stats(spark, points_sdf, bundle), want_stats)
+        exact = spatial_join(spark, points_sdf, exact_bundle).select("pid", "poly_id")
+        assert_equivalent(exact, PIP_JOIN_SQL, points=points_pdf, edges=neigh.edges_pdf())
+        assert arrow_confs.get(join._ARROW_MAX_BYTES) == "1k"
+
+    @pytest.mark.parametrize("records", ["0", "-1"])
+    def test_kept_without_record_cap(self, spark, arrow_confs, points_sdf, approx_bundle, records):
+        arrow_confs.unset(join._ARROW_MAX_BYTES)
+        arrow_confs.set(join._ARROW_MAX_RECORDS, records)
+        assert spatial_join(spark, points_sdf, approx_bundle).count() > 0
+        assert arrow_confs.get(join._ARROW_MAX_BYTES, None) is None
 
 
 class TestCountPushdown:
