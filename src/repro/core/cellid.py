@@ -76,6 +76,13 @@ def cell_from_xy(x: np.ndarray, y: np.ndarray, level: int) -> np.ndarray:
     return (path << _I64(shift + 1)) | (_I64(1) << _I64(shift))
 
 
+def in_extent(px: np.ndarray, py: np.ndarray, extent: float) -> np.ndarray:
+    """Which points the cell grid covers: finite and in ``[0, extent)`` on
+    both axes. ``cell_from_point`` clips any other point into a border
+    cell, so the join and training use only these."""
+    return (px >= 0) & (px < extent) & (py >= 0) & (py < extent)
+
+
 def cell_from_point(px: np.ndarray, py: np.ndarray, extent: float) -> np.ndarray:
     """Leaf (level-30) cell id containing the point (px, py) in meters."""
     n = _I64(1) << _I64(MAX_LEVEL)
@@ -187,14 +194,15 @@ def min_level_for_precision(bound_m: float, extent: float) -> int:
 
     The approximate join's false positives lie within sqrt(2) * side of the
     polygon, so the largest boundary cell's diagonal must not exceed the
-    user's precision bound.
+    user's precision bound. A bound that is not positive (NaN included) or
+    is finer than the level-``MAX_LEVEL`` diagonal has no such level.
     """
-    if bound_m <= 0:
-        raise ValueError("precision bound must be positive")
+    if not bound_m > 0:
+        raise ValueError(f"precision bound must be positive, got {bound_m!r}")
     for level in range(MAX_LEVEL + 1):
         if np.sqrt(2.0) * cell_side(level, extent) <= bound_m:
             return level
-    return MAX_LEVEL
+    raise ValueError(f"precision bound {bound_m!r} m is finer than a level-{MAX_LEVEL} cell")
 
 
 def cells_in_rect(

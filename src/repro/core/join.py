@@ -3,12 +3,17 @@
 The paper's join (Listing 3) is an index-nested-loop join: probe ACT per
 point, emit true hits directly, and either emit candidate hits as-is
 (approximate mode, §3.2) or refine them with exact PIP tests (accurate
-mode, §3.3). Polygons are small and static (the paper's setting), so the
-index is built on the driver, by one covering descent over all polygons
-(the paper parallelizes the covering phase over polygons), broadcast to
-the executors, and probed per partition in a ``mapInArrow`` kernel (a
-DataFrame -> DataFrame physical operator; see DESIGN.md §5 for why a JVM
-operator is out of scope).
+mode, §3.3); the bundle's mode decides which. Polygons are small and static
+(the paper's setting), so the index is built on the driver, by one
+covering descent over all polygons (the paper parallelizes the covering
+phase over polygons), broadcast to the executors, and probed per partition
+in a ``mapInArrow`` kernel (a DataFrame -> DataFrame physical operator; see
+DESIGN.md §5 for why a JVM operator is out of scope).
+
+There is one such operator, ``_map_probe``; ``spatial_join`` (the pairs),
+``spatial_join_stats`` (the probe counters) and the pushed-down
+``count_per_polygon`` (points per polygon) differ only in the batch they
+emit for each probed chunk.
 
 A bundle is broadcast once per ``SparkContext`` and the broadcast is
 shared by every query on it, so a warm query pays neither the pickling nor
@@ -16,21 +21,17 @@ the executors' unpickling again; the broadcast is destroyed when the bundle
 is garbage-collected.
 
 The kernel sees only the columns it reads: the input is projected to
-``pid, x, y`` (cast to long/double) before it crosses into Python, ``x``
-and ``y`` are read as numpy views of the Arrow columns, and the output
-batch is built from numpy arrays, with no pandas DataFrame on either side.
-Points that are null, not finite or outside the index extent are rejected
-by ``probe_batch`` and never paired. The kernel probes chunks of at least
-``_CHUNK_ROWS`` rows, not Arrow's 10 K-row batches, so the fixed cost per
-probe (and, in exact mode, per refinement call) is paid a few times per
-partition instead of once per batch. Unless the session set it, Spark's
-Arrow byte cap is lifted to ``Int.MaxValue`` for the session, so the JVM
-does not measure each input batch after every row; the record cap (10 K
-rows by default) still ends every batch.
-
-``count_per_polygon`` of a ``spatial_join`` result counts in the probe
-kernel, as the paper's probe phase does (Listing 3): only ``x, y`` cross
-into Python, and only each chunk's ``(poly_id, n)`` rows come back.
+``pid, x, y`` or ``x, y`` (cast to long/double) before it crosses into
+Python, ``x`` and ``y`` are read as numpy views of the Arrow columns, and
+the output batch is built from numpy arrays, with no pandas DataFrame on
+either side. Points that are null, not finite or outside the index extent
+are rejected by ``probe_batch`` and never paired. The kernel probes chunks
+of at least ``_CHUNK_ROWS`` rows, not Arrow's 10 K-row batches, so the
+fixed cost per probe (and, in accurate mode, per refinement call) is paid
+a few times per partition instead of once per batch. Unless the session
+set it, Spark's Arrow byte cap is lifted to ``Int.MaxValue`` for the
+session, so the JVM does not measure each input batch after every row; the
+record cap (10 K rows by default) still ends every batch.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ import threading
 import time
 import weakref
 import zipimport
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,7 @@ import pyarrow.compute as pc
 from pyspark import Broadcast, SparkContext
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.pandas.types import from_arrow_schema
 
 from repro.core import cellid
 from repro.core.act import build_act
@@ -110,10 +112,10 @@ def _drop_zip_importers() -> None:
     already imported keep their loaders, and a later import from an archive
     re-creates its importer (from zipimport's own directory cache).
 
-    Every Python-worker kernel in this module calls this when it finishes,
-    so that the importers its own first imports re-create in a new worker
-    (the bundle's modules, and more during the first probe) are evicted
-    too. A worker's first task still pays the re-read.
+    The probe operator's kernel calls this when it finishes, so that the
+    importers its own first imports re-create in a new worker (the
+    bundle's modules, and more during the first probe) are evicted too. A
+    worker's first task still pays the re-read.
     """
     for path, finder in list(sys.path_importer_cache.items()):
         if isinstance(finder, zipimport.zipimporter):
@@ -248,7 +250,7 @@ def probe_batch(
     px = np.asarray(px, np.float64)
     py = np.asarray(py, np.float64)
     n = len(px)
-    inside = (px >= 0) & (px < bundle.extent) & (py >= 0) & (py < bundle.extent)
+    inside = cellid.in_extent(px, py, bundle.extent)
     kept = None if inside.all() else np.flatnonzero(inside)
     if kept is not None:
         px, py = px[kept], py[kept]
@@ -274,23 +276,6 @@ def probe_batch(
         rows = kept[rows]
     return rows, polys, is_true, stats
 
-
-#: Output of ``spatial_join``: one row per (point, polygon) pair.
-_JOIN_SCHEMA = "pid long, poly_id long, true_hit boolean"
-_JOIN_ARROW_SCHEMA = pa.schema(
-    [("pid", pa.int64()), ("poly_id", pa.int64()), ("true_hit", pa.bool_())]
-)
-
-#: Output of ``count_per_polygon``'s kernel: each chunk's distinct
-#: polygons and their pair counts.
-_COUNT_SCHEMA = "poly_id long, n long"
-_COUNT_ARROW_SCHEMA = pa.schema([("poly_id", pa.int64()), ("n", pa.int64())])
-
-#: ``probe_batch`` counters that ``spatial_join_stats`` sums, and the
-#: pairs the join emits.
-_STATS = ("points", "rejected_points", "true_pairs", "cand_pairs", "pip_tests", "sth_points")
-_STATS_COLUMNS = _STATS + ("result_pairs",)
-_STATS_ARROW_SCHEMA = pa.schema([(k, pa.int64()) for k in _STATS_COLUMNS])
 
 #: Input columns a kernel may read, with the Spark type it reads them as.
 _INPUT_TYPES = {"pid": "long", "x": "double", "y": "double"}
@@ -320,8 +305,8 @@ def _lift_arrow_byte_cap(spark: SparkSession) -> None:
 
 def _project(points_df: DataFrame, columns: tuple[str, ...]) -> DataFrame:
     """Only the columns a kernel reads, cast to the types it reads them as,
-    so no other column crosses into Python. Every kernel's input is built
-    here, so this is where the session's Arrow byte cap is lifted."""
+    so no other column crosses into Python. The probe operator's input is
+    built here, so this is where the session's Arrow byte cap is lifted."""
     _lift_arrow_byte_cap(points_df.sparkSession)
     return points_df.select(*(F.col(c).cast(_INPUT_TYPES[c]).alias(c) for c in columns))
 
@@ -334,9 +319,9 @@ def _float64(column: pa.Array) -> np.ndarray:
     return column.to_numpy()
 
 
-#: Rows the join kernels probe at once, at least: Arrow's batches (10 K
-#: rows by default) are concatenated up to this size. The functions that
-#: start a kernel read it when called, not on the executors.
+#: Rows the probe kernel probes at once, at least: Arrow's batches (10 K
+#: rows by default) are concatenated up to this size. ``_map_probe`` reads
+#: it when called, not on the executors.
 _CHUNK_ROWS = 131072
 
 #: Guards ``_bundle_broadcast``'s check-then-create: queries on one bundle
@@ -401,104 +386,109 @@ def _concat(batches: list[pa.RecordBatch]) -> pa.RecordBatch:
     return pa.Table.from_batches(batches).combine_chunks().to_batches()[0]
 
 
-def _probe_chunks(
-    bc: Broadcast, batches: Iterator[pa.RecordBatch], exact: bool, chunk_rows: int
-) -> Iterator[tuple]:
-    """The body every join kernel shares: ``probe_batch`` over the ``x``,
-    ``y`` columns of each chunk of ``batches``, yielding
-    ``(chunk, point_row, poly_id, true_hit, stats)``."""
-    try:
-        bundle = bc.value
-        for chunk in _chunks(batches, chunk_rows):
-            yield chunk, *probe_batch(
-                bundle, _float64(chunk.column("x")), _float64(chunk.column("y")), exact
-            )
-    finally:
-        _drop_zip_importers()
+def _map_probe(
+    points_df: DataFrame,
+    bundle: PolygonIndexBundle,
+    columns: tuple[str, ...],
+    emit: Callable[..., dict],
+    schema: pa.Schema,
+) -> DataFrame:
+    """The one Spark probe operator: a ``mapInArrow`` over ``columns`` of
+    ``points_df`` (``_project``) that runs ``probe_batch`` over the ``x``,
+    ``y`` of each chunk of at least ``_CHUNK_ROWS`` rows, in the bundle's
+    mode, and emits one ``schema`` batch per chunk, made from the columns
+    ``emit(chunk, point_row, poly_id, true_hit, stats)`` returns by name.
+
+    It probes the bundle's one broadcast in this context
+    (``_bundle_broadcast``), and each task finally evicts the worker's zip
+    importers (``_drop_zip_importers``).
+    """
+    bc = _bundle_broadcast(points_df.sparkSession.sparkContext, bundle)
+    exact = bundle.mode == "accurate"
+    chunk_rows = _CHUNK_ROWS
+
+    def kernel(batches):
+        try:
+            received = bc.value
+            for chunk in _chunks(batches, chunk_rows):
+                x, y = _float64(chunk.column("x")), _float64(chunk.column("y"))
+                out = emit(chunk, *probe_batch(received, x, y, exact))
+                yield pa.RecordBatch.from_pydict(out, schema=schema)
+        finally:
+            _drop_zip_importers()
+
+    return _project(points_df, columns).mapInArrow(kernel, from_arrow_schema(schema))
+
+
+#: ``spatial_join``'s output: one row per (point, polygon) pair.
+_PAIRS = pa.schema([("pid", pa.int64()), ("poly_id", pa.int64()), ("true_hit", pa.bool_())])
+
+
+def _emit_pairs(chunk, rows, polys, is_true, _stats) -> dict:
+    return {"pid": chunk.column("pid").take(rows), "poly_id": polys, "true_hit": is_true}
 
 
 def spatial_join(
     spark: SparkSession,
     points_df: DataFrame,
     bundle: PolygonIndexBundle,
-    exact: bool | None = None,
 ) -> DataFrame:
     """DataFrame -> DataFrame point-polygon join (pid, poly_id, true_hit).
 
     ``points_df`` needs ``pid``, ``x`` and ``y`` columns of any numeric
-    type; other columns are ignored. ``exact=None`` derives the refinement
-    from the bundle mode (approx -> no PIP tests, accurate -> PIP tests on
-    candidates).
-
-    The bundle is broadcast on its first join in this context, and every
-    later join (and ``spatial_join_stats`` and ``count_per_polygon``)
-    reuses that broadcast, so the Python workers keep it unpickled between
-    queries. Each task probes its partition in chunks of at least
-    ``_CHUNK_ROWS`` rows, emits one output batch per chunk, and finally
-    evicts the worker's zip importers (``_drop_zip_importers``), so the
-    next task does not re-read them.
+    type; other columns are ignored. The bundle's mode sets the
+    refinement: an approx bundle emits its candidate pairs as they are, an
+    accurate one keeps those that pass a PIP test.
 
     It writes ``spark.sql.execution.arrow.maxBytesPerBatch`` to
     ``Int.MaxValue`` in the session when the session has not set it and
     ``maxRecordsPerBatch`` is positive (``_lift_arrow_byte_cap``).
 
-    The returned DataFrame records ``points_df``, ``bundle`` and ``exact``,
-    so that ``count_per_polygon`` of it counts in the probe kernel.
+    The returned DataFrame records ``points_df`` and ``bundle``, so that
+    ``count_per_polygon`` of it counts in the probe kernel.
     """
-    if exact is None:
-        exact = bundle.mode == "accurate"
-    bc = _bundle_broadcast(spark.sparkContext, bundle)
-    chunk_rows = _CHUNK_ROWS
-
-    def kernel(batches):
-        for chunk, rows, polys, is_true, _stats in _probe_chunks(bc, batches, exact, chunk_rows):
-            yield pa.RecordBatch.from_arrays(
-                [
-                    chunk.column("pid").take(rows),
-                    pa.array(polys.astype(np.int64, copy=False)),
-                    pa.array(is_true),
-                ],
-                schema=_JOIN_ARROW_SCHEMA,
-            )
-
-    joined = _project(points_df, ("pid", "x", "y")).mapInArrow(kernel, _JOIN_SCHEMA)
+    joined = _map_probe(points_df, bundle, ("pid", "x", "y"), _emit_pairs, _PAIRS)
     # Only this object carries them: ``select`` and the like drop them.
-    joined._join_inputs = (points_df, bundle, exact)
+    joined._join_inputs = (points_df, bundle)
     return joined
+
+
+#: ``probe_batch`` counters that ``spatial_join_stats`` sums.
+_STATS = ("points", "rejected_points", "true_pairs", "cand_pairs", "pip_tests", "sth_points")
+
+#: ``spatial_join_stats``' kernel output: each chunk's counters and the
+#: pairs the join emits for it.
+_COUNTERS = pa.schema([(k, pa.int64()) for k in _STATS + ("result_pairs",)])
+
+
+def _emit_counters(_chunk, rows, _polys, _is_true, stats) -> dict:
+    return {**{k: [stats[k]] for k in _STATS}, "result_pairs": [len(rows)]}
 
 
 def spatial_join_stats(
     spark: SparkSession,
     points_df: DataFrame,
     bundle: PolygonIndexBundle,
-    exact: bool | None = None,
 ) -> pd.DataFrame:
-    """Aggregated per-partition probe counters (points, STH, PIP tests...).
+    """Summed probe counters (points, STH, PIP tests...) of the join, and
+    the pairs it emits (``result_pairs``), as one pandas row.
 
-    The paper reports these (e.g. the solely-true-hits metric of Table 7);
-    each partition emits one counter row, aggregated on the driver. The
-    kernel reads only ``x`` and ``y``, and probes the same chunks over the
-    same broadcast as ``spatial_join``, and writes the session's Arrow
-    byte cap as ``spatial_join`` does.
+    The paper reports these (e.g. the solely-true-hits metric of Table 7).
+    The operator is ``spatial_join``'s over ``x`` and ``y`` only; it emits
+    one counter row per chunk, and the driver sums them.
     """
-    if exact is None:
-        exact = bundle.mode == "accurate"
-    bc = _bundle_broadcast(spark.sparkContext, bundle)
-    chunk_rows = _CHUNK_ROWS
+    counters = _map_probe(points_df, bundle, ("x", "y"), _emit_counters, _COUNTERS)
+    return counters.toPandas().sum().to_frame().T
 
-    def kernel(batches):
-        totals = dict.fromkeys(_STATS_COLUMNS, 0)
-        for _chunk, rows, _p, _t, stats in _probe_chunks(bc, batches, exact, chunk_rows):
-            for k in _STATS:
-                totals[k] += stats[k]
-            totals["result_pairs"] += len(rows)
-        yield pa.RecordBatch.from_pydict(
-            {k: [v] for k, v in totals.items()}, schema=_STATS_ARROW_SCHEMA
-        )
 
-    schema = ", ".join(f"{k} long" for k in _STATS_COLUMNS)
-    pdf = _project(points_df, ("x", "y")).mapInArrow(kernel, schema).toPandas()
-    return pdf.sum().to_frame().T
+#: ``count_per_polygon``'s kernel output: each chunk's distinct polygons
+#: and their pair counts.
+_COUNTS = pa.schema([("poly_id", pa.int64()), ("n", pa.int64())])
+
+
+def _emit_counts(_chunk, _rows, polys, _is_true, _stats) -> dict:
+    ids, n = np.unique(polys, return_counts=True)
+    return {"poly_id": ids, "n": n}
 
 
 def count_per_polygon(join_df: DataFrame) -> DataFrame:
@@ -506,30 +496,17 @@ def count_per_polygon(join_df: DataFrame) -> DataFrame:
     ``poly_id long, n_points long``, without polygons of no point.
 
     When ``join_df`` is the very DataFrame ``spatial_join`` returned, the
-    count runs in the probe kernel: one ``mapInArrow`` pass over the
-    points' ``x`` and ``y`` emits each chunk's distinct polygons and their
-    counts (memory bounded by the chunk, not by the number of polygons),
-    and a ``groupBy`` sums them. ``cache()`` and ``persist()`` return that
-    same object, so a cached join result is still counted from the points.
-    Any other DataFrame (``spatial_join(...).filter("true_hit")``, a
-    ``select`` of it, ...) is grouped by ``poly_id`` and counted as is.
-    The counting kernel writes the session's Arrow byte cap as
-    ``spatial_join`` does.
+    count runs in the probe kernel: one pass of ``spatial_join``'s
+    operator over the points' ``x`` and ``y`` emits each chunk's distinct
+    polygons and their counts (memory bounded by the chunk, not by the
+    number of polygons), and a ``groupBy`` sums them. ``cache()`` and
+    ``persist()`` return that same object, so a cached join result is
+    still counted from the points. Any other DataFrame
+    (``spatial_join(...).filter("true_hit")``, a ``select`` of it, ...) is
+    grouped by ``poly_id`` and counted as is.
     """
     inputs = getattr(join_df, "_join_inputs", None)
     if inputs is None:
         return join_df.groupBy("poly_id").count().withColumnRenamed("count", "n_points")
-    points_df, bundle, exact = inputs
-    bc = _bundle_broadcast(points_df.sparkSession.sparkContext, bundle)
-    chunk_rows = _CHUNK_ROWS
-
-    def kernel(batches):
-        for _chunk, _rows, polys, _t, _stats in _probe_chunks(bc, batches, exact, chunk_rows):
-            ids, n = np.unique(polys, return_counts=True)
-            yield pa.RecordBatch.from_arrays(
-                [pa.array(ids.astype(np.int64, copy=False)), pa.array(n)],
-                schema=_COUNT_ARROW_SCHEMA,
-            )
-
-    counts = _project(points_df, ("x", "y")).mapInArrow(kernel, _COUNT_SCHEMA)
+    counts = _map_probe(*inputs, ("x", "y"), _emit_counts, _COUNTS)
     return counts.groupBy("poly_id").agg(F.sum("n").alias("n_points"))

@@ -63,9 +63,13 @@ def train_index(
     against the cells held: those kept whole, the (cell, polygon) rows
     emitted and the frontier's rows. Once reached, the frontier's boundary
     cells stay candidates.
+
+    Training points the join would reject (``cellid.in_extent``) are
+    ignored.
     """
     max_cells = np.inf if max_cells is None else max_cells
-    pt = np.sort(cellid.cell_from_point(train_x, train_y, sc.extent))
+    ok = cellid.in_extent(train_x, train_y, sc.extent)
+    pt = np.sort(cellid.cell_from_point(train_x[ok], train_y[ok], sc.extent))
 
     def splits(cells):
         # Cells below max_level that hold a training point.

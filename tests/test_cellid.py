@@ -163,6 +163,12 @@ class TestGeometry:
             assert np.sqrt(2) * cellid.cell_side(lv, 8192.0) <= bound
             if lv > 0:
                 assert np.sqrt(2) * cellid.cell_side(lv - 1, 8192.0) > bound
+        finest = np.sqrt(2) * cellid.cell_side(cellid.MAX_LEVEL, 8192.0)
+        assert cellid.min_level_for_precision(finest, 8192.0) == cellid.MAX_LEVEL
+        # No level meets a bound finer than the finest diagonal, or NaN.
+        for bound in (finest * 0.99, 1e-9, np.nan):
+            with pytest.raises(ValueError):
+                cellid.min_level_for_precision(bound, 8192.0)
 
     def test_min_level_known_values(self):
         # The DESIGN.md mapping: 60/15/4 m -> levels 8/10/12 at 8192 m.

@@ -356,8 +356,7 @@ class TestInputDomain:
         self, request, spark, invalid_sdf, bundle_name
     ):
         bundle = request.getfixturevalue(bundle_name)
-        for exact in (False, True):
-            assert spatial_join(spark, invalid_sdf, bundle, exact=exact).count() == 0
+        assert spatial_join(spark, invalid_sdf, bundle).count() == 0
 
     def test_rows_index_the_input(self, points_pdf, approx_bundle):
         """With invalid points mixed in, each pair still names the row of

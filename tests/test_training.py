@@ -110,6 +110,22 @@ class TestTraining:
         sc, stats = train_index(accurate_sc, neigh, tx, ty, max_cells=accurate_sc.n_cells)
         assert sc is accurate_sc and stats.rounds == 0
 
+    def test_invalid_points_ignored(self, accurate_sc, neigh):
+        """Points the join rejects (not finite, or outside the extent) do
+        not train the index, although ``cell_from_point`` would clip them
+        into border cells."""
+        tx, ty = sd.taxi_points(2_000, seed=1)
+        inv = np.array(
+            [(-500.0, 10.0), (8692.0, 10.0), (10.0, -3000.0), (np.nan, 10.0), (1e12, 5.0),
+             (-np.inf, 5.0)]
+        )
+        want, want_stats = train_index(accurate_sc, neigh, tx, ty)
+        got, stats = train_index(
+            accurate_sc, neigh, np.concatenate([tx, inv[:, 0]]), np.concatenate([ty, inv[:, 1]])
+        )
+        assert stats == want_stats
+        assert_same(got, want)
+
     def test_training_converges(self, accurate_sc, neigh):
         """Training reaches a fixpoint: no training point hits an expensive
         cell below max_level."""
@@ -159,8 +175,10 @@ def by_rounds(sc, pset, pick):
 
 
 def hit_by(tx, ty, max_level=cellid.MAX_LEVEL - 2):
-    """``pick`` for training: cells below ``max_level`` a point hits."""
-    pt = cellid.cell_from_point(tx, ty, sd.EXTENT)
+    """``pick`` for training: cells below ``max_level`` a point hits.
+    Only points the join accepts hit a cell: finite, in ``[0, EXTENT)``."""
+    ok = (tx >= 0) & (tx < sd.EXTENT) & (ty >= 0) & (ty < sd.EXTENT)
+    pt = cellid.cell_from_point(tx[ok], ty[ok], sd.EXTENT)
 
     def pick(sc):
         hit = cellid.locate(sc.ids, pt, np.searchsorted(sc.ids, pt))
