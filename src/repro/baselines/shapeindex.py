@@ -61,9 +61,16 @@ class ShapeIndex:
     def join(
         self, px: np.ndarray, py: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Exact point-polygon join; returns (point_idx, poly_id, stats)."""
-        pt_ids = cellid.cell_from_point(px, py, self.extent)
-        cell_of = self.locate(pt_ids)
+        """Exact point-polygon join; returns (point_idx, poly_id, stats).
+        Points the grid does not cover (``cellid.in_extent``) pair with
+        nothing."""
+        px = np.asarray(px, np.float64)
+        py = np.asarray(py, np.float64)
+        inside = cellid.in_extent(px, py, self.extent)
+        cell_of = np.full(len(px), -1, np.int64)
+        cell_of[inside] = self.locate(
+            cellid.cell_from_point(px[inside], py[inside], self.extent)
+        )
         res_p: list[np.ndarray] = []
         res_g: list[np.ndarray] = []
         edges_tested = 0

@@ -72,15 +72,6 @@ class SuperCovering:
             np.all(cellid.range_max(self.ids[:-1]) < cellid.range_min(self.ids[1:]))
         )
 
-    def raw_bytes(self) -> int:
-        """Raw key+refs payload (Table 1 reports 64-bit cells + refs)."""
-        return int(
-            self.ids.nbytes
-            + self.ref_offsets.nbytes
-            + self.ref_poly.nbytes
-            + self.ref_interior.nbytes
-        )
-
 
 def _dedup_refs(
     cell_idx: np.ndarray, poly: np.ndarray, interior: np.ndarray, n_cells: int

@@ -1,30 +1,15 @@
 """Per-table reproduction harnesses (Tables 1-7 of the paper).
 
-Each ``tableN`` module exposes ``run(scale='test'|'bench')`` returning
-the measured rows and printing a paper-shaped table, plus a ``PAPER``
-constant with the numbers the paper reports (diffed in EXPERIMENTS.md).
-The harnesses run on the driver alone. ``python jobs/table.py N`` runs
-table N from the command line; ``benchmarks/bench_tables.py`` regenerates
-them under pytest-benchmark.
+Each ``tableN`` module, and ``accurate_baselines`` for the supplementary
+§4.2 claims, exposes ``run(scale='test'|'bench')`` returning the measured
+rows and printing a paper-shaped table, plus a ``PAPER`` constant with the
+numbers the paper reports (diffed in EXPERIMENTS.md). The harnesses run on
+the driver alone. ``jobs/table.py`` is their one entry point; it runs every
+table asked for in one process, over one index cache:
+
+    python jobs/table.py 1 2 3 4 5 6 7 supplementary --scale bench > bench_results.txt
 """
 from __future__ import annotations
-
-import os
-
-
-def emit(text: str) -> str:
-    """Print harness output and tee it to ``REPRO_TABLE_LOG`` if set.
-
-    pytest captures stdout of passing tests, so the benchmark entrypoints
-    set ``REPRO_TABLE_LOG`` to persist the measured rows (bench_results.txt)
-    alongside pytest-benchmark's timing summary (bench_output.txt).
-    """
-    print(text)
-    path = os.environ.get("REPRO_TABLE_LOG")
-    if path:
-        with open(path, "a") as f:
-            f.write(text + "\n\n")
-    return text
 
 
 def format_rows(rows: list[dict], title: str = "") -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.baselines.rtree import build_rtree, rtree_join
 from repro.baselines.shapeindex import build_shapeindex
 from repro.perf.counters import interleaved_seconds
-from repro.tables import emit, format_rows
+from repro.tables import format_rows
 from repro.tables import datasets as ds
 from repro import synth_data as sd
 from repro.core.join import probe_batch
@@ -41,9 +41,11 @@ def run(scale: str = "test") -> list[dict]:
     for name in ("boroughs", "neighborhoods", "census"):
         pset = ds.polygons(name, scale)
         # ACT4 accurate (untrained) — same config as Figure 10.
-        bundle = ds.accurate_index(name, scale, n_train=0)
+        bundle = ds.index(name, scale, "act4", "accurate", None)
         # Trained ACT4 (largest training size) for the PIP-reduction claim.
-        trained = ds.accurate_index(name, scale, n_train=ds.TRAIN_SIZES[scale][-1])
+        trained = ds.index(
+            name, scale, "act4", "accurate", None, ds.TRAIN_SIZES[scale][-1]
+        )
         _r2, _p2, _t2, tr_stats = probe_batch(trained, px, py, exact=True)
         # R-tree filter & refine.
         rt = build_rtree(pset)
@@ -79,7 +81,7 @@ def run(scale: str = "test") -> list[dict]:
                 ),
             }
         )
-    emit(
+    print(
         format_rows(
             rows,
             f"Supplementary (scale={scale}): accurate join vs filter&refine "
@@ -87,7 +89,3 @@ def run(scale: str = "test") -> list[dict]:
         )
     )
     return rows
-
-
-if __name__ == "__main__":
-    run(scale="bench")

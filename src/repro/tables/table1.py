@@ -8,7 +8,7 @@ covering.
 from __future__ import annotations
 
 from repro.core.values import encode_values
-from repro.tables import emit, format_rows
+from repro.tables import format_rows
 from repro.tables import datasets as ds
 
 #: Paper Table 1 (NYC datasets at real scale, for EXPERIMENTS.md diffing).
@@ -44,9 +44,5 @@ def run(scale: str = "test") -> list[dict]:
                     "build_supercovering_s": round(times["supercovering"], 2),
                 }
             )
-    emit(format_rows(rows, f"Table 1 (scale={scale}): super covering metrics"))
+    print(format_rows(rows, f"Table 1 (scale={scale}): super covering metrics"))
     return rows
-
-
-if __name__ == "__main__":
-    run(scale="bench")

@@ -6,7 +6,7 @@ ACT4 / GBT / LB on the 4 m super coverings of the three polygon datasets.
 """
 from __future__ import annotations
 
-from repro.tables import emit, format_rows
+from repro.tables import format_rows
 from repro.tables import datasets as ds
 
 STRUCTURES = tuple(ds.STRUCTURES)
@@ -31,11 +31,13 @@ PAPER = {
 }
 
 
-def run(scale: str = "test", precision_m: float = 4.0) -> list[dict]:
+def run(scale: str = "test") -> list[dict]:
     rows = []
     for name in ("boroughs", "neighborhoods", "census"):
         for structure in STRUCTURES:
-            bundle = ds.index(name, scale, ds.STRUCTURES[structure], "approx", precision_m)
+            bundle = ds.index(
+                name, scale, ds.STRUCTURES[structure], "approx", ds.INDEX_PRECISION_M
+            )
             bt = bundle.build_seconds["structure"]
             rows.append(
                 {
@@ -46,13 +48,9 @@ def run(scale: str = "test", precision_m: float = 4.0) -> list[dict]:
                     "build_s": "-" if structure == "LB" else round(bt, 3),
                 }
             )
-    emit(
+    print(
         format_rows(
             rows, f"Table 2 (scale={scale}): data structure metrics, 4m precision"
         )
     )
     return rows
-
-
-if __name__ == "__main__":
-    run(scale="bench")

@@ -10,7 +10,7 @@ only benefit from the smaller total cell count.
 from __future__ import annotations
 
 from repro.perf.counters import interleaved_seconds
-from repro.tables import emit, format_rows
+from repro.tables import format_rows
 from repro.tables import datasets as ds
 
 STRUCTURES = tuple(ds.STRUCTURES)
@@ -32,16 +32,16 @@ N_PROBE = {"test": 100_000, "bench": ds.POINTS["bench"]}
 REPEATS = {"test": 9, "bench": 5}
 
 
-def throughputs(
-    scale: str = "test", precision_m: float = 4.0, kind: str = "taxi"
-) -> dict[tuple[str, str], float]:
+def throughputs(scale: str = "test") -> dict[tuple[str, str], float]:
     """{(structure, dataset): throughput Mpts/s}, the median over rounds
     that probe the three datasets' indexes in turn."""
-    _px, _py, pt = ds.point_cells(kind, scale, n=N_PROBE[scale])
+    _px, _py, pt = ds.point_cells("taxi", scale, n=N_PROBE[scale])
     out = {}
     for structure in STRUCTURES:
         indexes = [
-            ds.index(name, scale, ds.STRUCTURES[structure], "approx", precision_m).index
+            ds.index(
+                name, scale, ds.STRUCTURES[structure], "approx", ds.INDEX_PRECISION_M
+            ).index
             for name in DATASETS
         ]
         seconds, _ = interleaved_seconds(
@@ -52,8 +52,8 @@ def throughputs(
     return out
 
 
-def run(scale: str = "test", precision_m: float = 4.0) -> list[dict]:
-    tp = throughputs(scale, precision_m)
+def run(scale: str = "test") -> list[dict]:
+    tp = throughputs(scale)
     rows = []
     for structure in STRUCTURES:
         b = tp[(structure, "boroughs")]
@@ -70,7 +70,7 @@ def run(scale: str = "test", precision_m: float = 4.0) -> list[dict]:
                 "census_Mpts": round(c, 2),
             }
         )
-    emit(
+    print(
         format_rows(
             rows,
             f"Table 3 (scale={scale}): speedups of coarse over fine polygon "
@@ -78,7 +78,3 @@ def run(scale: str = "test", precision_m: float = 4.0) -> list[dict]:
         )
     )
     return rows
-
-
-if __name__ == "__main__":
-    run(scale="bench")

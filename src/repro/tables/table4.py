@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tables import emit, format_rows
+from repro.tables import format_rows
 from repro.tables import datasets as ds
 
 #: Paper Table 4 is a grid of histograms; the qualitative reference shape
@@ -25,12 +25,12 @@ PAPER = {
 }
 
 
-def run(scale: str = "test", precision_m: float = 4.0) -> list[dict]:
+def run(scale: str = "test") -> list[dict]:
     rows = []
     for kind in ("uniform", "taxi"):
         _px, _py, pt = ds.point_cells(kind, scale)
         for name in ("boroughs", "neighborhoods", "census"):
-            bundle = ds.index(name, scale, "act4", "approx", precision_m)
+            bundle = ds.index(name, scale, "act4", "approx", ds.INDEX_PRECISION_M)
             _entries, depths = bundle.index.probe(pt)
             depths = depths[depths >= 0]
             hist = np.bincount(depths, minlength=5)[:5] / max(1, len(depths))
@@ -39,7 +39,7 @@ def run(scale: str = "test", precision_m: float = 4.0) -> list[dict]:
                 row[f"level_{lvl}"] = round(float(hist[lvl]), 3)
             row["avg_depth"] = round(float(depths.mean()), 2)
             rows.append(row)
-    emit(
+    print(
         format_rows(
             rows,
             f"Table 4 (scale={scale}): ACT4 traversal depth distribution "
@@ -47,7 +47,3 @@ def run(scale: str = "test", precision_m: float = 4.0) -> list[dict]:
         )
     )
     return rows
-
-
-if __name__ == "__main__":
-    run(scale="bench")

@@ -12,10 +12,12 @@ in per-point cost, and taxi (clustered) cheaper than uniform on ACT.
 from __future__ import annotations
 
 from repro.perf.counters import measure_probes
-from repro.tables import emit, format_rows
+from repro.tables import format_rows
 from repro.tables import datasets as ds
 
 STRUCTURES = tuple(ds.STRUCTURES)
+#: The paper measures Table 5 on the neighborhoods index only.
+DATASET = "neighborhoods"
 
 #: Timing rounds per scale.
 REPEATS = {"test": 9, "bench": 5}
@@ -36,31 +38,23 @@ PAPER = {
 }
 
 
-def run(
-    scale: str = "test",
-    dataset: str = "neighborhoods",
-    precision_m: float = 4.0,
-) -> list[dict]:
+def run(scale: str = "test") -> list[dict]:
     rows = []
     for kind in ("uniform", "taxi"):
         _px, _py, pt = ds.point_cells(kind, scale)
         indexes = {
             structure: ds.index(
-                dataset, scale, ds.STRUCTURES[structure], "approx", precision_m
+                DATASET, scale, ds.STRUCTURES[structure], "approx", ds.INDEX_PRECISION_M
             ).index
             for structure in STRUCTURES
         }
         for c in measure_probes(indexes, pt, REPEATS[scale]):
             rows.append({"points": kind, **c.as_row()})
-    emit(
+    print(
         format_rows(
             rows,
             f"Table 5 (scale={scale}): proxy cost counters per point "
-            f"({dataset}, 4m)",
+            f"({DATASET}, 4m)",
         )
     )
     return rows
-
-
-if __name__ == "__main__":
-    run(scale="bench")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.core.join import probe_batch
 from repro.perf.counters import interleaved_seconds
-from repro.tables import emit, format_rows
+from repro.tables import format_rows
 from repro.tables import datasets as ds
 
 #: Paper Table 6: {(n_train_paper, dataset): speedup over untrained ACT4}.
@@ -41,7 +41,10 @@ def run(scale: str = "test") -> list[dict]:
     px, py, _pt = ds.point_cells("taxi", scale, n=N_QUERY[scale], seed=7)
     rows = []
     for name in ("boroughs", "neighborhoods", "census"):
-        bundles = [ds.accurate_index(name, scale, n_train=n) for n in (0, *ds.TRAIN_SIZES[scale])]
+        bundles = [
+            ds.index(name, scale, "act4", "accurate", None, n)
+            for n in (0, *ds.TRAIN_SIZES[scale])
+        ]
         # Untrained and trained joins are timed in turn, round by round, so
         # the speedups compare medians taken under the same load.
         seconds, results = interleaved_seconds(
@@ -66,7 +69,7 @@ def run(scale: str = "test") -> list[dict]:
                     "paper_speedup": PAPER[(n_paper, name)],
                 }
             )
-    emit(
+    print(
         format_rows(
             rows,
             f"Table 6 (scale={scale}): accurate-join speedup from training "
@@ -74,7 +77,3 @@ def run(scale: str = "test") -> list[dict]:
         )
     )
     return rows
-
-
-if __name__ == "__main__":
-    run(scale="bench")

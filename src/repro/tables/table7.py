@@ -8,7 +8,7 @@ size (datasets.TRAIN_SIZES).
 from __future__ import annotations
 
 from repro.core.join import probe_batch
-from repro.tables import emit, format_rows
+from repro.tables import format_rows
 from repro.tables import datasets as ds
 
 #: Paper Table 7: {dataset: (sth_untrained_%, sth_trained_%)}.
@@ -29,8 +29,8 @@ def run(scale: str = "test") -> list[dict]:
     n_train = ds.TRAIN_SIZES[scale][-1]
     rows = []
     for name in ("boroughs", "neighborhoods", "census"):
-        base = ds.accurate_index(name, scale, n_train=0)
-        trained = ds.accurate_index(name, scale, n_train=n_train)
+        base = ds.index(name, scale, "act4", "accurate", None)
+        trained = ds.index(name, scale, "act4", "accurate", None, n_train)
         rows.append(
             {
                 "dataset": name,
@@ -41,14 +41,10 @@ def run(scale: str = "test") -> list[dict]:
                 "paper_trained_%": PAPER[name][1],
             }
         )
-    emit(
+    print(
         format_rows(
             rows,
             f"Table 7 (scale={scale}): solely-true-hits before/after training",
         )
     )
     return rows
-
-
-if __name__ == "__main__":
-    run(scale="bench")

@@ -180,6 +180,21 @@ class TestShapeIndex:
         _, _, st = si.join(px, py)
         assert st["true_hits"] > 0
 
+    def test_points_off_grid_pair_with_nothing(self, neigh, taxi):
+        """NaN, infinite and out-of-extent points would clip into a border
+        cell; like ``probe_batch`` and ``rtree_join``, SI pairs them with
+        nothing and leaves the valid points' pairs as they are."""
+        e = sd.EXTENT
+        bad = [(np.nan, 5), (np.inf, 5), (-np.inf, 5), (1, np.nan), (5, np.inf),
+               (5, -np.inf), (-1, 5), (5, -0.5), (e, 5), (5, e), (e + 1, e + 1)]
+        bx, by = np.array(bad, np.float64).T
+        px, py = taxi[0][:2_000], taxi[1][:2_000]
+        si = build_shapeindex(neigh, e, max_edges_per_cell=10, max_level=12)
+        vp, vg, _ = si.join(px, py)
+        sp, sg, _ = si.join(np.concatenate([bx, px]), np.concatenate([by, py]))
+        got = set(zip(sp.tolist(), sg.tolist()))
+        assert got == {(i + len(bad), g) for i, g in zip(vp.tolist(), vg.tolist())}
+
     def test_locate_partition(self, neigh):
         si = build_shapeindex(neigh, sd.EXTENT, 10, max_level=10)
         px, py = sd.uniform_points(5000, seed=24)

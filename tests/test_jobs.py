@@ -1,5 +1,5 @@
 """The job entrypoints must at least import and expose main(); the table
-entrypoint runs end to end."""
+entrypoint runs several tables end to end in one process."""
 import importlib.util
 import os
 import pathlib
@@ -10,8 +10,9 @@ import pytest
 
 ROOT = pathlib.Path(__file__).parents[1] / "jobs"
 
-#: Job invocations: job name -> (script, table number or None).
-JOBS = {f"table{n}": ("table.py", n) for n in range(1, 8)}
+#: Job invocations: job name -> (script, table argument or None).
+JOBS = {f"table{n}": ("table.py", str(n)) for n in range(1, 8)}
+JOBS["supplementary"] = ("table.py", "supplementary")
 JOBS["spatial_join"] = ("spatial_join.py", None)
 
 
@@ -29,27 +30,33 @@ def test_job_importable(name):
     mod = load(script)
     assert callable(mod.main)
     if table is not None:
-        args = mod.parser().parse_args([str(table), "--scale", "test"])
-        assert (args.table, args.scale) == (table, "test")
-        assert importlib.util.find_spec(f"repro.tables.table{table}") is not None
+        args = mod.parser().parse_args([table, "--scale", "test"])
+        assert (args.tables, args.scale) == ([table], "test")
+        assert importlib.util.find_spec(f"repro.tables.{mod.TABLES[table]}") is not None
 
 
 def test_all_tables_have_jobs():
     assert {p.name for p in ROOT.glob("*.py")} == {s for s, _ in JOBS.values()}
-    assert {t for _, t in JOBS.values()} == set(range(1, 8)) | {None}
-    with pytest.raises(SystemExit):
-        load("table.py").parser().parse_args(["8"])
+    tables = load("table.py").TABLES
+    assert {t for _, t in JOBS.values()} == set(tables) | {None}
+    # Every harness module in repro.tables is one of the job's tables.
+    modules = {p.stem for p in (ROOT.parent / "src/repro/tables").glob("*.py")}
+    assert modules - {"__init__", "datasets"} == set(tables.values())
+    for bad in (["8"], ["1", "8"], ["figure10"], []):
+        with pytest.raises(SystemExit):
+            load("table.py").parser().parse_args(bad)
 
 
 def test_table_job_runs():
-    """``python jobs/table.py 1 --scale test`` prints Table 1 on the driver
-    alone: a master no SparkSession can start with makes no difference."""
+    """``python jobs/table.py 1 7 --scale test`` prints Tables 1 and 7 from
+    one process on the driver alone: a master no SparkSession can start
+    with makes no difference."""
     env = dict(os.environ)
     src = str(ROOT.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env["PYSPARK_SUBMIT_ARGS"] = "--master no-spark-session pyspark-shell"
     out = subprocess.run(
-        [sys.executable, str(ROOT / "table.py"), "1", "--scale", "test"],
+        [sys.executable, str(ROOT / "table.py"), "1", "7", "--scale", "test"],
         env=env,
         capture_output=True,
         text=True,
@@ -57,3 +64,4 @@ def test_table_job_runs():
     )
     assert out.returncode == 0, out.stderr
     assert "Table 1 (scale=test)" in out.stdout
+    assert "Table 7 (scale=test)" in out.stdout

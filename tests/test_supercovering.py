@@ -261,10 +261,6 @@ class TestMergeCoverings:
         m = sc.candidate_mask()
         assert m.dtype == bool and 0 < m.sum() < sc.n_cells
 
-    def test_raw_bytes_positive(self, merged):
-        _ps, sc = merged
-        assert sc.raw_bytes() > sc.n_cells * 8
-
     def test_budgeted_merge_handles_conflicts(self):
         """The accurate-mode pipeline (overlapping covering + interior
         covering) merges into a disjoint set with interior-wins refs."""
