@@ -13,7 +13,11 @@ DESIGN.md §5 for why a JVM operator is out of scope).
 There is one such operator, ``_map_probe``; ``spatial_join`` (the pairs),
 ``spatial_join_stats`` (the probe counters) and the pushed-down
 ``count_per_polygon`` (points per polygon) differ only in the batch they
-emit for each probed chunk.
+emit for each probed chunk. The pushed-down count is one Spark job of one
+stage, run when ``count_per_polygon`` is called: the driver sums the
+chunks' per-polygon counts, with no Spark aggregate and no shuffle. The query
+path builds no PySpark ``Column``: the input projection is one
+``selectExpr``.
 
 A bundle is broadcast once per ``SparkContext`` and the broadcast is
 shared by every query on it, so a warm query pays neither the pickling nor
@@ -24,8 +28,10 @@ The kernel sees only the columns it reads: the input is projected to
 ``pid, x, y`` or ``x, y`` (cast to long/double) before it crosses into
 Python, ``x`` and ``y`` are read as numpy views of the Arrow columns, and
 the output batch is built from numpy arrays, with no pandas DataFrame on
-either side. Points that are null, not finite or outside the index extent
-are rejected by ``probe_batch`` and never paired. The kernel probes chunks
+either side; the counting and counter kernels import no pandas on the
+executors unless an input column holds nulls. Points that are null, not
+finite or outside the index extent are rejected by ``probe_batch`` and
+never paired. The kernel probes chunks
 of at least ``_CHUNK_ROWS`` rows, not Arrow's 10 K-row batches, so the
 fixed cost per probe (and, in accurate mode, per refinement call) is paid
 a few times per partition instead of once per batch. Unless the session
@@ -36,6 +42,7 @@ record cap (10 K rows by default) still ends every batch.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import sys
 import threading
@@ -44,14 +51,12 @@ import weakref
 import zipimport
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 from pyspark import Broadcast, SparkContext
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.pandas.types import from_arrow_schema
 
 from repro.core import cellid
@@ -61,6 +66,9 @@ from repro.core.supercovering import SuperCovering, merge_coverings
 from repro.baselines.btree import build_btree
 from repro.baselines.sorted_vector import build_sorted_vector
 from repro.geometry.polygon import PolygonSet
+
+if TYPE_CHECKING:
+    import pandas as pd
 
 #: Default S2RegionCoverer-analog budget (paper §4 "Polygon Approximations":
 #: max covering cells=128, max interior cells=256 at Earth scale). Scaled up
@@ -308,15 +316,26 @@ def _project(points_df: DataFrame, columns: tuple[str, ...]) -> DataFrame:
     so no other column crosses into Python. The probe operator's input is
     built here, so this is where the session's Arrow byte cap is lifted."""
     _lift_arrow_byte_cap(points_df.sparkSession)
-    return points_df.select(*(F.col(c).cast(_INPUT_TYPES[c]).alias(c) for c in columns))
+    return points_df.selectExpr(*(f"CAST(`{c}` AS {_INPUT_TYPES[c]}) AS {c}" for c in columns))
 
 
 def _float64(column: pa.Array) -> np.ndarray:
-    """A double Arrow column as numpy: a zero-copy view when it has no
-    nulls; nulls read as NaN, which ``probe_batch`` rejects."""
+    """A double Arrow column as numpy: a zero-copy view of its buffer when
+    it has no nulls; nulls read as NaN, which ``probe_batch`` rejects.
+
+    numpy reads the buffer itself because pyarrow's own conversions
+    (``to_numpy``, ``pa.array``) import pandas on their first call, 0.2 s
+    in every fresh worker."""
     if column.null_count:
-        column = pc.fill_null(column, np.nan)
-    return column.to_numpy()
+        return column.to_numpy(zero_copy_only=False)
+    return np.frombuffer(column.buffers()[1], np.float64, len(column), column.offset * 8)
+
+
+def _int64(values) -> pa.Array:
+    """``values`` as an int64 Arrow array over a numpy buffer, without
+    ``pa.array`` (``_float64`` says why)."""
+    values = np.ascontiguousarray(values, np.int64)
+    return pa.Array.from_buffers(pa.int64(), len(values), [None, pa.py_buffer(values)])
 
 
 #: Rows the probe kernel probes at once, at least: Arrow's batches (10 K
@@ -462,7 +481,7 @@ _COUNTERS = pa.schema([(k, pa.int64()) for k in _STATS + ("result_pairs",)])
 
 
 def _emit_counters(_chunk, rows, _polys, _is_true, stats) -> dict:
-    return {**{k: [stats[k]] for k in _STATS}, "result_pairs": [len(rows)]}
+    return {**{k: _int64([stats[k]]) for k in _STATS}, "result_pairs": _int64([len(rows)])}
 
 
 def spatial_join_stats(
@@ -486,9 +505,18 @@ def spatial_join_stats(
 _COUNTS = pa.schema([("poly_id", pa.int64()), ("n", pa.int64())])
 
 
-def _emit_counts(_chunk, _rows, polys, _is_true, _stats) -> dict:
-    ids, n = np.unique(polys, return_counts=True)
-    return {"poly_id": ids, "n": n}
+def _emit_counts(n_polygons, _chunk, _rows, polys, _is_true, _stats) -> dict:
+    n = np.bincount(polys, minlength=n_polygons)
+    ids = np.flatnonzero(n)
+    return {"poly_id": _int64(ids), "n": _int64(n[ids])}
+
+
+def _count_kernel(points_df: DataFrame, bundle: PolygonIndexBundle) -> DataFrame:
+    """The pushed-down count's operator: ``spatial_join``'s operator over
+    the points' ``x`` and ``y``, emitting each chunk's polygons of at
+    least one pair and their pair counts."""
+    emit = functools.partial(_emit_counts, len(bundle.pset))
+    return _map_probe(points_df, bundle, ("x", "y"), emit, _COUNTS)
 
 
 def count_per_polygon(join_df: DataFrame) -> DataFrame:
@@ -496,17 +524,29 @@ def count_per_polygon(join_df: DataFrame) -> DataFrame:
     ``poly_id long, n_points long``, without polygons of no point.
 
     When ``join_df`` is the very DataFrame ``spatial_join`` returned, the
-    count runs in the probe kernel: one pass of ``spatial_join``'s
-    operator over the points' ``x`` and ``y`` emits each chunk's distinct
-    polygons and their counts (memory bounded by the chunk, not by the
-    number of polygons), and a ``groupBy`` sums them. ``cache()`` and
-    ``persist()`` return that same object, so a cached join result is
-    still counted from the points. Any other DataFrame
-    (``spatial_join(...).filter("true_hit")``, a ``select`` of it, ...) is
-    grouped by ``poly_id`` and counted as is.
+    count runs in the probe kernel, and it runs when this is called: one
+    job of one stage (when the points' own plan has no shuffle) passes
+    ``spatial_join``'s operator over the points' ``x`` and ``y``
+    (``_count_kernel``), each chunk emits its distinct polygons and their
+    counts, and the driver collects them and sums them per polygon. The
+    driver receives at most one row per distinct polygon per chunk, the
+    rows a Spark partial aggregate would shuffle. The returned DataFrame
+    holds the sums as local rows, so collecting it runs no job. Nothing is
+    cached: each call probes all points again. ``cache()`` and
+    ``persist()`` return the join result itself, so a cached join result
+    is still counted from the points.
+
+    Any other DataFrame (``spatial_join(...).filter("true_hit")``, a
+    ``select`` of it, ...) is grouped by ``poly_id`` and counted as is,
+    lazily, like any Spark aggregate.
     """
     inputs = getattr(join_df, "_join_inputs", None)
     if inputs is None:
         return join_df.groupBy("poly_id").count().withColumnRenamed("count", "n_points")
-    counts = _map_probe(*inputs, ("x", "y"), _emit_counts, _COUNTS)
-    return counts.groupBy("poly_id").agg(F.sum("n").alias("n_points"))
+    points_df, bundle = inputs
+    counts = _count_kernel(points_df, bundle).toArrow()
+    totals = np.zeros(len(bundle.pset), np.int64)
+    np.add.at(totals, counts.column("poly_id").to_numpy(), counts.column("n").to_numpy())
+    ids = np.flatnonzero(totals)
+    summed = pa.table({"poly_id": ids, "n_points": totals[ids]})
+    return join_df.sparkSession.createDataFrame(summed)

@@ -94,13 +94,29 @@ def kernel_inputs(df):
     return [a.split("#")[0] for a in found.pop().split(", ")]
 
 
+def count_kernel_inputs(joined):
+    """The columns the pushed-down count's kernel over ``joined``'s inputs
+    reads."""
+    kernel = join._count_kernel(*joined._join_inputs)
+    kernel.collect()
+    return kernel_inputs(kernel)
+
+
+def assert_local_rows(df):
+    """``df`` is rows held in its plan: collecting it runs no kernel."""
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    assert plan.startswith("LocalTableScan") and "MapInArrow" not in plan, plan
+
+
 def assert_counts_pushed_down(joined):
     """``count_per_polygon(joined)`` counts in the probe kernel, which
-    reads only ``x`` and ``y``, and its rows equal the ``groupBy`` over
-    ``joined``'s pairs (``select`` drops the pushdown); returns them."""
+    reads only ``x`` and ``y``, and returns the sums as local rows, which
+    equal the ``groupBy`` over ``joined``'s pairs (``select`` drops the
+    pushdown); returns them."""
     pushed = count_per_polygon(joined)
     got = sorted_counts(pushed)
-    assert kernel_inputs(pushed) == ["x", "y"]
+    assert_local_rows(pushed)
+    assert count_kernel_inputs(joined) == ["x", "y"]
     grouped = count_per_polygon(joined.select("*"))
     want = sorted_counts(grouped)
     assert kernel_inputs(grouped) == ["pid", "x", "y"]
@@ -162,7 +178,7 @@ class TestExactJoin:
         assert_equivalent(
             counts, PIP_COUNT_SQL, points=points_pdf, edges=neigh.edges_pdf()
         )
-        assert kernel_inputs(counts) == ["x", "y"]
+        assert count_kernel_inputs(joined) == ["x", "y"]
 
     def test_all_structures_agree(self, spark, neigh, points_sdf):
         results = []
@@ -608,9 +624,32 @@ class TestCountPushdown:
             joined.count()
             counts = count_per_polygon(joined)
             pd.testing.assert_frame_equal(sorted_counts(counts), want)
-            assert kernel_inputs(counts) == ["x", "y"]
+            assert_local_rows(counts)
+            assert count_kernel_inputs(joined) == ["x", "y"]
         finally:
             joined.unpersist()
+
+    def test_one_job_of_one_stage(self, spark, approx_bundle):
+        """The count runs when ``count_per_polygon`` is called, as one job
+        of one stage, and collecting its result runs no job."""
+        sc = spark.sparkContext
+        points = sd.points_df(spark, "taxi", N_POINTS, seed=33)
+        joined = spatial_join(spark, points, approx_bundle)
+        want = sorted_counts(count_per_polygon(joined.select("*")))
+        try:
+            sc.setJobGroup("pushed-down-count", "count_per_polygon")
+            counts = count_per_polygon(joined)
+            sc.setJobGroup("pushed-down-collect", "collect")
+            got = pd.DataFrame(counts.collect(), columns=["poly_id", "n_points"])
+        finally:
+            sc._jsc.clearJobGroup()
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        tracker = sc.statusTracker()
+        jobs = tracker.getJobIdsForGroup("pushed-down-count")
+        assert len(jobs) == 1
+        assert len(list(tracker.getJobInfo(jobs[0]).stageIds)) == 1
+        assert tracker.getJobIdsForGroup("pushed-down-collect") == []
+        pd.testing.assert_frame_equal(got.sort_values("poly_id").reset_index(drop=True), want)
 
 
 class _FakeBroadcast:
