@@ -22,14 +22,27 @@ path builds no PySpark ``Column``: the input projection is one
 A bundle is broadcast once per ``SparkContext`` and the broadcast is
 shared by every query on it, so a warm query pays neither the pickling nor
 the executors' unpickling again; the broadcast is destroyed when the bundle
-is garbage-collected.
+is garbage-collected. Likewise the operator is prepared once per (points
+DataFrame, bundle, emitted batch) and reused by later calls: a repeated
+query reuses its plan, and each run still probes every point.
+
+From the second join on a persisted points DataFrame (the first reuse of
+an operator on it), the kernel reads a persisted packed copy of the
+points' columns: one binary Arrow IPC row per chunk, opened without a copy.
+Spark's Arrow writer then writes a few values per partition, not one per
+point and column, which was most of the JVM's time in a warm query. The
+copy holds the columns as doubles and longs, 16 B per point for ``x, y``
+(24 B with ``pid``), on top of the persisted points. It is unpersisted when
+a join finds the points unpersisted, or when the points are
+garbage-collected. The first join reads rows, so a one-shot job pays no
+extra pass over the points.
 
 The kernel sees only the columns it reads: the input is projected to
 ``pid, x, y`` or ``x, y`` (cast to long/double) before it crosses into
 Python, ``x`` and ``y`` are read as numpy views of the Arrow columns, and
 the output batch is built from numpy arrays, with no pandas DataFrame on
-either side; the counting and counter kernels import no pandas on the
-executors unless an input column holds nulls. Points that are null, not
+either side; the kernels import no pandas on the executors unless an
+input column holds nulls. Points that are null, not
 finite or outside the index extent are rejected by ``probe_batch`` and
 never paired. The kernel probes chunks
 of at least ``_CHUNK_ROWS`` rows, not Arrow's 10 K-row batches, so the
@@ -101,10 +114,12 @@ class PolygonIndexBundle:
     build_seconds: dict = field(default_factory=dict)
 
     def __getstate__(self) -> dict:
-        # The cached broadcast (``_broadcast``) stays on the driver: the
-        # pickled bundle, and so what executors receive, is only the fields.
+        # The cached broadcast (``_broadcast``) and the prepared operators
+        # (``_operators``) stay on the driver: the pickled bundle, and so
+        # what executors receive, is only the fields.
         state = self.__dict__.copy()
         state.pop("_broadcast", None)
+        state.pop("_operators", None)
         return state
 
 
@@ -313,9 +328,7 @@ def _lift_arrow_byte_cap(spark: SparkSession) -> None:
 
 def _project(points_df: DataFrame, columns: tuple[str, ...]) -> DataFrame:
     """Only the columns a kernel reads, cast to the types it reads them as,
-    so no other column crosses into Python. The probe operator's input is
-    built here, so this is where the session's Arrow byte cap is lifted."""
-    _lift_arrow_byte_cap(points_df.sparkSession)
+    so no other column crosses into Python."""
     return points_df.selectExpr(*(f"CAST(`{c}` AS {_INPUT_TYPES[c]}) AS {c}" for c in columns))
 
 
@@ -338,14 +351,22 @@ def _int64(values) -> pa.Array:
     return pa.Array.from_buffers(pa.int64(), len(values), [None, pa.py_buffer(values)])
 
 
+def _bools(mask: np.ndarray) -> pa.Array:
+    """A boolean numpy mask as a bool Arrow array, without ``pa.array``."""
+    bits = np.packbits(mask, bitorder="little")
+    return pa.Array.from_buffers(pa.bool_(), len(mask), [None, pa.py_buffer(bits)])
+
+
 #: Rows the probe kernel probes at once, at least: Arrow's batches (10 K
-#: rows by default) are concatenated up to this size. ``_map_probe`` reads
-#: it when called, not on the executors.
+#: rows by default) are concatenated up to this size. ``_map_probe`` and
+#: ``_packed`` read it when they build an operator or a packed copy, not on
+#: the executors.
 _CHUNK_ROWS = 131072
 
-#: Guards ``_bundle_broadcast``'s check-then-create: queries on one bundle
-#: may start from several driver threads.
-_BROADCAST_LOCK = threading.Lock()
+#: Guards the check-then-create of ``_bundle_broadcast``, ``_packed`` and
+#: ``_map_probe``: queries on one bundle or one points DataFrame may start
+#: from several driver threads. Reentrant: ``_map_probe`` calls the others.
+_CACHE_LOCK = threading.RLock()
 
 
 def _release(sc: SparkContext, bc: Broadcast) -> None:
@@ -367,7 +388,7 @@ def _bundle_broadcast(sc: SparkContext, bundle: PolygonIndexBundle) -> Broadcast
     destroyed, a broadcast keeps a pickled copy of the bundle in Spark's
     temporary directory.
     """
-    with _BROADCAST_LOCK:
+    with _CACHE_LOCK:
         held = getattr(bundle, "_broadcast", None)
         if held is not None:
             bc_sc, bc, release = held
@@ -405,6 +426,79 @@ def _concat(batches: list[pa.RecordBatch]) -> pa.RecordBatch:
     return pa.Table.from_batches(batches).combine_chunks().to_batches()[0]
 
 
+def _pack(chunk: pa.RecordBatch) -> pa.RecordBatch:
+    """``chunk`` as one row of a packed copy: its Arrow IPC stream, in a
+    binary ``chunk`` column."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, chunk.schema) as writer:
+        writer.write_batch(chunk)
+    data = sink.getvalue()
+    offsets = pa.py_buffer(np.array([0, data.size], np.int32))
+    return pa.RecordBatch.from_arrays([pa.Array.from_buffers(pa.binary(), 1, [None, offsets, data])], ["chunk"])
+
+
+def _unpacked(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+    """The chunks that the rows of a packed copy's ``batches`` hold, read
+    from Spark's buffers without a copy."""
+    for batch in batches:
+        packed = batch.column(0)
+        for i in range(batch.num_rows):
+            yield pa.ipc.open_stream(packed[i].as_buffer()).read_next_batch()
+
+
+def _persisted(df: DataFrame) -> bool:
+    """Whether Spark's cache holds ``df``'s plan, at any storage level."""
+    return df._jdf.storageLevel().isValid()
+
+
+def _unpersist(df: DataFrame) -> None:
+    """Unpersist ``df`` unless its context has stopped, which dropped the
+    cache already."""
+    if df.sparkSession.sparkContext._jsc is not None:
+        df.unpersist()
+
+
+def _packed(points_df: DataFrame, columns: tuple[str, ...], persisted: bool, make: bool) -> DataFrame | None:
+    """The packed copy of ``columns`` of ``points_df``, while the points
+    are ``persisted``: the one made before, else a new one if ``make``;
+    when they are not, every packed copy of theirs is unpersisted.
+
+    A packed copy is a persisted DataFrame of one binary Arrow IPC row per
+    chunk of at least ``_CHUNK_ROWS`` rows of each partition (``_pack``),
+    filled by the first job that reads it. A kernel reads its chunks as
+    they are (``_unpacked``), so Spark's Arrow writer writes a few values
+    per partition instead of one per point and column. A copy found
+    unpersisted itself is forgotten, and one is unpersisted when its
+    points are garbage-collected.
+
+    The copies are kept on the points DataFrame (``_packed``), by the
+    columns they hold, each with the finalizer that unpersists it.
+    """
+    copies = points_df.__dict__.setdefault("_packed", {})
+    if not persisted:
+        for _copy, release in copies.values():
+            release()
+        copies.clear()
+        return None
+    held = copies.get(columns)
+    if held is not None and not _persisted(held[0]):
+        copies.pop(columns)[1]()
+        held = None
+    if held is None and make:
+        chunk_rows = _CHUNK_ROWS
+
+        def pack(batches):
+            for chunk in _chunks(batches, chunk_rows):
+                yield _pack(chunk)
+
+        packed = _project(points_df, columns).mapInArrow(pack, "chunk binary").persist()
+        release = weakref.finalize(points_df, _unpersist, packed)
+        # At interpreter exit the JVM drops the cache with the context.
+        release.atexit = False
+        held = copies[columns] = (packed, release)
+    return held[0] if held else None
+
+
 def _map_probe(
     points_df: DataFrame,
     bundle: PolygonIndexBundle,
@@ -418,25 +512,53 @@ def _map_probe(
     mode, and emits one ``schema`` batch per chunk, made from the columns
     ``emit(chunk, point_row, poly_id, true_hit, stats)`` returns by name.
 
+    The operator is prepared once per (points, bundle, ``emit``) and
+    returned again by later calls, so a repeated query reuses its plan;
+    each run still probes every point. It is kept on the bundle, keyed
+    weakly by the points, and it references neither. When a later call
+    finds the points persisted, the operator is rebuilt once over their
+    packed copy of ``columns`` (``_packed``), made then; a first call reads
+    a packed copy only if one exists already. The operator is rebuilt when
+    the points' persistence, their packed copy or the bundle's broadcast
+    has changed since it was built. Each call lifts the Arrow byte cap
+    (``_lift_arrow_byte_cap``); Spark reads both caps when the operator
+    runs.
+
     It probes the bundle's one broadcast in this context
     (``_bundle_broadcast``), and each task finally evicts the worker's zip
     importers (``_drop_zip_importers``).
     """
-    bc = _bundle_broadcast(points_df.sparkSession.sparkContext, bundle)
-    exact = bundle.mode == "accurate"
-    chunk_rows = _CHUNK_ROWS
+    spark = points_df.sparkSession
+    _lift_arrow_byte_cap(spark)
+    with _CACHE_LOCK:
+        bc = _bundle_broadcast(spark.sparkContext, bundle)
+        built = bundle.__dict__.setdefault("_operators", weakref.WeakKeyDictionary())
+        held = built.setdefault(points_df, {}).get(emit)
+        persisted = _persisted(points_df)
+        source = _packed(points_df, columns, persisted, make=held is not None)
+        key = (bc, persisted, source)
+        if held is not None and all(a is b for a, b in zip(held[0], key)):
+            return held[1]
+        exact = bundle.mode == "accurate"
+        if source is None:
+            chunks = functools.partial(_chunks, rows=_CHUNK_ROWS)
+            source = _project(points_df, columns)
+        else:
+            chunks = _unpacked
 
-    def kernel(batches):
-        try:
-            received = bc.value
-            for chunk in _chunks(batches, chunk_rows):
-                x, y = _float64(chunk.column("x")), _float64(chunk.column("y"))
-                out = emit(chunk, *probe_batch(received, x, y, exact))
-                yield pa.RecordBatch.from_pydict(out, schema=schema)
-        finally:
-            _drop_zip_importers()
+        def kernel(batches):
+            try:
+                received = bc.value
+                for chunk in chunks(batches):
+                    x, y = _float64(chunk.column("x")), _float64(chunk.column("y"))
+                    out = emit(chunk, *probe_batch(received, x, y, exact))
+                    yield pa.RecordBatch.from_pydict(out, schema=schema)
+            finally:
+                _drop_zip_importers()
 
-    return _project(points_df, columns).mapInArrow(kernel, from_arrow_schema(schema))
+        operator = source.mapInArrow(kernel, from_arrow_schema(schema))
+        built[points_df][emit] = (key, operator)
+        return operator
 
 
 #: ``spatial_join``'s output: one row per (point, polygon) pair.
@@ -444,7 +566,12 @@ _PAIRS = pa.schema([("pid", pa.int64()), ("poly_id", pa.int64()), ("true_hit", p
 
 
 def _emit_pairs(chunk, rows, polys, is_true, _stats) -> dict:
-    return {"pid": chunk.column("pid").take(rows), "poly_id": polys, "true_hit": is_true}
+    pid = chunk.column("pid")
+    if pid.null_count:  # null pids stay null; only they import pyarrow.compute
+        pid = pid.take(_int64(rows))
+    else:
+        pid = _int64(np.frombuffer(pid.buffers()[1], np.int64, len(pid), pid.offset * 8)[rows])
+    return {"pid": pid, "poly_id": _int64(polys), "true_hit": _bools(is_true)}
 
 
 def spatial_join(
@@ -463,11 +590,20 @@ def spatial_join(
     ``Int.MaxValue`` in the session when the session has not set it and
     ``maxRecordsPerBatch`` is positive (``_lift_arrow_byte_cap``).
 
+    Each call returns a new DataFrame over one plan prepared for
+    (``points_df``, ``bundle``) on first use. From the second call on a
+    persisted ``points_df``, that plan reads a packed copy of the points'
+    ``pid, x, y`` (24 B per point), made then and filled when it first
+    runs (``_packed``); the first call reads the points' rows.
+
     The returned DataFrame records ``points_df`` and ``bundle``, so that
     ``count_per_polygon`` of it counts in the probe kernel.
     """
-    joined = _map_probe(points_df, bundle, ("pid", "x", "y"), _emit_pairs, _PAIRS)
-    # Only this object carries them: ``select`` and the like drop them.
+    operator = _map_probe(points_df, bundle, ("pid", "x", "y"), _emit_pairs, _PAIRS)
+    # A new DataFrame over the prepared plan, and only it carries the
+    # inputs (``select`` and the like drop them): the operator kept on the
+    # bundle must not keep the bundle or the points alive.
+    joined = DataFrame(operator._jdf, operator.sparkSession)
     joined._join_inputs = (points_df, bundle)
     return joined
 
@@ -505,8 +641,8 @@ def spatial_join_stats(
 _COUNTS = pa.schema([("poly_id", pa.int64()), ("n", pa.int64())])
 
 
-def _emit_counts(n_polygons, _chunk, _rows, polys, _is_true, _stats) -> dict:
-    n = np.bincount(polys, minlength=n_polygons)
+def _emit_counts(_chunk, _rows, polys, _is_true, _stats) -> dict:
+    n = np.bincount(polys)
     ids = np.flatnonzero(n)
     return {"poly_id": _int64(ids), "n": _int64(n[ids])}
 
@@ -515,8 +651,7 @@ def _count_kernel(points_df: DataFrame, bundle: PolygonIndexBundle) -> DataFrame
     """The pushed-down count's operator: ``spatial_join``'s operator over
     the points' ``x`` and ``y``, emitting each chunk's polygons of at
     least one pair and their pair counts."""
-    emit = functools.partial(_emit_counts, len(bundle.pset))
-    return _map_probe(points_df, bundle, ("x", "y"), emit, _COUNTS)
+    return _map_probe(points_df, bundle, ("x", "y"), _emit_counts, _COUNTS)
 
 
 def count_per_polygon(join_df: DataFrame) -> DataFrame:
@@ -531,10 +666,14 @@ def count_per_polygon(join_df: DataFrame) -> DataFrame:
     counts, and the driver collects them and sums them per polygon. The
     driver receives at most one row per distinct polygon per chunk, the
     rows a Spark partial aggregate would shuffle. The returned DataFrame
-    holds the sums as local rows, so collecting it runs no job. Nothing is
-    cached: each call probes all points again. ``cache()`` and
-    ``persist()`` return the join result itself, so a cached join result
-    is still counted from the points.
+    holds the sums as local rows, so collecting it runs no job. No result
+    is cached: each call probes all points again, through one counting
+    operator prepared for (points, bundle) on its first count. From the
+    second count on persisted points, that operator reads a packed copy of
+    their ``x, y`` (16 B per point; ``_packed``), filled by the count that
+    makes it; the first count reads rows. ``cache()`` and ``persist()``
+    return the join result itself, so a cached join result is still
+    counted from the points.
 
     Any other DataFrame (``spatial_join(...).filter("true_hit")``, a
     ``select`` of it, ...) is grouped by ``poly_id`` and counted as is,

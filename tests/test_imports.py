@@ -25,9 +25,10 @@ def test_baselines_do_not_import_the_spark_join():
 
 def test_join_imports_no_pandas():
     """Every fresh executor worker imports the join module, and pandas and
-    ``pyarrow.compute`` would be most of that import's time. Nor does the
-    counting kernel's per-chunk work import them: reading ``x, y`` and
-    building the count and counter batches."""
+    ``pyarrow.compute`` would be most of that import's time. Nor does a
+    kernel's per-chunk work import them: regrouping batches into chunks,
+    packing and unpacking them, reading ``x, y`` and ``pid``, and building
+    the pairs, count and counter batches."""
     code = """
 import sys
 import numpy as np, pyarrow as pa
@@ -36,15 +37,30 @@ from repro.core import join
 def imported():
     return {m for m in ("pandas", "pyarrow.compute") if m in sys.modules}
 
+def f64(values):
+    return pa.Array.from_buffers(pa.float64(), len(values), [None, pa.py_buffer(np.asarray(values, float))])
+
 assert not imported(), imported()
-x = pa.Array.from_buffers(pa.float64(), 4, [None, pa.py_buffer(np.arange(4.0))])
+x = f64(np.arange(4.0))
 assert join._float64(x.slice(1, 2)).tolist() == [1.0, 2.0]
-out = join._emit_counts(4, None, None, np.array([3, 1, 3]), None, None)
+batches = [
+    pa.RecordBatch.from_arrays([join._int64([i, i + 1]), f64([i, i]), f64([0.5, 1.5])], ["pid", "x", "y"])
+    for i in (0, 2, 4)
+]
+chunks = list(join._chunks(iter(batches), 4))
+packed = [join._pack(c) for c in chunks]
+got = list(join._unpacked(iter([pa.Table.from_batches(packed).combine_chunks().to_batches()[0]])))
+assert [c.num_rows for c in got] == [4, 2] and all(g.equals(c) for g, c in zip(got, chunks))
+out = join._emit_pairs(got[0], np.array([3, 0, 3]), np.array([7, 8, 9]), np.array([True, False, True]), None)
+pairs = pa.RecordBatch.from_pydict(out, schema=join._PAIRS)
+out = join._emit_counts(None, None, np.array([3, 1, 3]), None, None)
 counts = pa.RecordBatch.from_pydict(out, schema=join._COUNTS)
 stats = dict.fromkeys(join._STATS, 0)
 out = join._emit_counters(None, [], None, None, stats)
 counters = pa.RecordBatch.from_pydict(out, schema=join._COUNTERS)
 assert not imported(), imported()
+assert pairs.column("pid").to_pylist() == [3, 0, 3] and pairs.column("poly_id").to_pylist() == [7, 8, 9]
+assert pairs.column("true_hit").to_pylist() == [True, False, True]
 assert counts.column(0).to_pylist() == [1, 3] and counts.column(1).to_pylist() == [1, 2]
 assert counters.column("result_pairs").to_pylist() == [0]
 """

@@ -10,8 +10,10 @@ import os
 import pickle
 import re
 import sys
+import weakref
 import zipfile
 import zipimport
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pandas as pd
@@ -85,13 +87,33 @@ def sorted_counts(counts):
     return counts.toPandas().sort_values("poly_id").reset_index(drop=True)
 
 
-def kernel_inputs(df):
-    """The columns the ``MapInArrow`` of ``df``'s executed plan reads,
-    after ``df`` has run."""
+def _map_in_arrow_inputs(df) -> dict[str, list[str]]:
+    """Each ``MapInArrow`` of ``df``'s executed plan, by function name,
+    with the columns it reads, after ``df`` has run."""
     plan = df._jdf.queryExecution().executedPlan().toString()
-    found = set(re.findall(r"MapInArrow \w+\(([^)]*)\)", plan))
-    assert len(found) == 1, plan
-    return [a.split("#")[0] for a in found.pop().split(", ")]
+    found: dict[str, set] = {}
+    for name, args in re.findall(r"MapInArrow (\w+)\(([^)]*)\)", plan):
+        found.setdefault(name, set()).add(tuple(a.split("#")[0] for a in args.split(", ")))
+    assert all(len(v) == 1 for v in found.values()), plan
+    return {name: list(v.pop()) for name, v in found.items()}
+
+
+def kernel_inputs(df):
+    """The columns of the points that the probe kernel of ``df``'s executed
+    plan reads, after ``df`` has run. A kernel over a packed copy reads
+    only its ``chunk`` column, and the copy's ``pack`` read the points'
+    columns."""
+    found = _map_in_arrow_inputs(df)
+    if found.get("kernel") == ["chunk"]:
+        assert set(found) == {"kernel", "pack"}, found
+        return found["pack"]
+    assert list(found) == ["kernel"], found
+    return found["kernel"]
+
+
+def reads_packed(df) -> bool:
+    """Whether ``df``'s probe kernel read a packed copy, after ``df`` ran."""
+    return "pack" in _map_in_arrow_inputs(df)
 
 
 def count_kernel_inputs(joined):
@@ -416,6 +438,17 @@ class TestInputContract:
         assert dict(joined.dtypes) == {"pid": "bigint", "poly_id": "bigint", "true_hit": "boolean"}
         assert pairs(joined) == pairs(spatial_join(spark, spark.createDataFrame(wide), exact_bundle))
 
+    def test_null_pid_stays_null(self, spark, points_pdf, exact_bundle):
+        head = points_pdf.iloc[:200]
+        rows, polys, _t, _s = probe_batch(exact_bundle, head["x"].to_numpy(), head["y"].to_numpy(), True)
+        pids = [None if i == rows[0] else int(p) for i, p in enumerate(head["pid"])]
+        sdf = spark.createDataFrame(list(zip(pids, head["x"], head["y"])), "pid long, x double, y double")
+        got = spatial_join(spark, sdf, exact_bundle).select("pid", "poly_id").collect()
+        want = [(pids[r], int(p)) for r, p in zip(rows, polys)]
+        key = lambda pair: (pair[0] is not None, pair)  # noqa: E731
+        assert sorted(map(tuple, got), key=key) == sorted(want, key=key)
+        assert want[0][0] is None
+
 
 class TestBundle:
     def test_bundle_records_build_times(self, exact_bundle):
@@ -650,6 +683,229 @@ class TestCountPushdown:
         assert len(list(tracker.getJobInfo(jobs[0]).stageIds)) == 1
         assert tracker.getJobIdsForGroup("pushed-down-collect") == []
         pd.testing.assert_frame_equal(got.sort_values("poly_id").reset_index(drop=True), want)
+
+
+@pytest.fixture
+def persisted_points(spark, neigh, invalid_sdf):
+    """The adversarial points of the test neighborhoods, then ``INVALID_XY``
+    and a null ``x`` under the next pids, persisted in 5 shuffled
+    partitions, and the valid points as pandas; unpersisted afterwards."""
+    pdf = points_frame(*adversarial_points(neigh))
+    invalid = invalid_sdf.selectExpr(f"pid + {len(pdf)} AS pid", "x", "y")
+    sdf = spark.createDataFrame(pdf).unionByName(invalid).repartition(5).persist()
+    yield sdf, pdf
+    sdf.unpersist()
+
+
+def oracle_pairs(pdf, pset) -> set:
+    """``PIP_JOIN_SQL``'s (pid, poly_id) pairs over ``pdf``."""
+    import duckdb
+
+    con = duckdb.connect()
+    con.register("points", pdf)
+    con.register("edges", pset.edges_pdf())
+    tdf = con.execute(PIP_JOIN_SQL).fetchdf()
+    con.close()
+    return set(zip(tdf["pid"].tolist(), tdf["poly_id"].tolist()))
+
+
+class TestPreparedOperator:
+    """One probe operator per (points, bundle, emitted batch), built on
+    first use and reused by later calls; it keeps neither the bundle nor
+    the points alive."""
+
+    def test_repeated_calls_share_one_operator(self, spark, points_pdf, approx_bundle, exact_bundle):
+        points = spark.createDataFrame(points_pdf)
+        count = join._count_kernel(points, approx_bundle)
+        assert join._count_kernel(points, approx_bundle) is count
+        exact = join._count_kernel(points, exact_bundle)
+        assert exact is not count and join._count_kernel(points, exact_bundle) is exact
+        assert join._count_kernel(spark.createDataFrame(points_pdf), approx_bundle) is not count
+        # Each join result is a new DataFrame over the one prepared plan.
+        first, second = spatial_join(spark, points, approx_bundle), spatial_join(spark, points, approx_bundle)
+        assert first is not second and first._jdf is second._jdf
+        assert spatial_join(spark, points, exact_bundle)._jdf is not first._jdf
+        stats = spatial_join_stats(spark, points, approx_bundle)
+        counters = approx_bundle._operators[points][join._emit_counters]
+        pd.testing.assert_frame_equal(spatial_join_stats(spark, points, approx_bundle), stats)
+        assert approx_bundle._operators[points][join._emit_counters] is counters
+        # Every run probes all points again.
+        counts = sorted_counts(count_per_polygon(first))
+        pd.testing.assert_frame_equal(sorted_counts(count_per_polygon(second)), counts)
+        assert counts["n_points"].sum() == stats["result_pairs"].iloc[0]
+
+    def test_keeps_neither_bundle_nor_points_alive(self, spark, neigh, points_pdf):
+        """Once the caller drops them, the bundle's broadcast file goes and
+        the points' packed copies are unpersisted."""
+        bundle = build_index(neigh, sd.EXTENT, mode="approx", precision_m=60.0)
+        points = spark.createDataFrame(points_pdf).persist()
+        for _ in range(2):
+            count_per_polygon(spatial_join(spark, points, bundle)).collect()
+            spatial_join_stats(spark, points, bundle)
+        copies = [packed for packed, _release in points._packed.values()]
+        assert len(copies) == 2 and all(join._persisted(c) for c in copies)
+        refs = weakref.ref(bundle), weakref.ref(points)
+        path = _bundle_broadcast(spark.sparkContext, bundle)._path
+        points_jdf = points._jdf
+        del bundle, points
+        gc.collect()
+        try:
+            assert [r() for r in refs] == [None, None]
+            assert not os.path.exists(path)
+            assert not any(join._persisted(c) for c in copies)
+        finally:
+            points_jdf.unpersist(False)
+
+    def test_threads_share_one_operator(self, spark, points_pdf, exact_bundle):
+        """Driver threads asking at once for one (points, bundle) count get
+        the operator over rows, first, or the one over the one packed copy
+        its first reuse made; later asks get that one too."""
+        points = spark.createDataFrame(points_pdf).persist()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                rounds = [
+                    list(pool.map(lambda _: join._count_kernel(points, exact_bundle), range(16), timeout=120))
+                    for _ in range(2)
+                ]
+        finally:
+            sys.setswitchinterval(switch)
+            points.unpersist()
+        packed = rounds[1][0]
+        assert len({id(op) for op in rounds[0]}) == 2 and any(op is packed for op in rounds[0])
+        assert all(op is packed for op in rounds[1])
+        assert set(points._packed) == {("x", "y")}
+
+    def test_reused_operator_reads_arrow_caps_when_run(
+        self, spark, arrow_confs, monkeypatch, points_sdf, approx_bundle
+    ):
+        """With 1-row chunks each Arrow batch is probed alone, and each run
+        of the one operator batches its input by the caps as they are
+        then."""
+
+        def emit_rows(chunk, *_):
+            return {"n": join._int64([chunk.num_rows])}
+
+        schema = pa.schema([("n", pa.int64())])
+        monkeypatch.setattr(join, "_CHUNK_ROWS", 1)
+        arrow_confs.unset(join._ARROW_MAX_BYTES)
+
+        def run():
+            operator = join._map_probe(points_sdf, approx_bundle, ("x", "y"), emit_rows, schema)
+            rows = [r.n for r in operator.collect()]
+            assert sum(rows) == N_POINTS
+            return operator, max(rows)
+
+        operator, most = run()
+        assert most > 300
+        arrow_confs.set(join._ARROW_MAX_RECORDS, "300")
+        assert run() == (operator, 300)
+        arrow_confs.unset(join._ARROW_MAX_RECORDS)
+        arrow_confs.set(join._ARROW_MAX_BYTES, "1k")
+        again, most = run()
+        assert again is operator and most < 100
+
+    @pytest.mark.parametrize("kind", ["checkpointed", "shuffled", "persisted-shuffled"])
+    def test_repeated_counts_one_job_one_task_per_partition(self, spark, approx_bundle, kind):
+        """After the first, every count of one join runs one job, and its
+        probe stage, the one stage that runs, completes one task per
+        partition of the points. On persisted points the second count
+        makes the packed copy: adaptive execution first fills it in a job
+        of its own, of one task per partition too."""
+        sc = spark.sparkContext
+        points = sd.points_df(spark, "taxi", N_POINTS, seed=34)
+        if kind != "checkpointed":
+            points = points.repartition(5)
+        if kind == "persisted-shuffled":
+            points = points.persist()
+        n_partitions = points.rdd.getNumPartitions()
+        groups = [f"repeated-count-{kind}-{i}" for i in range(3)]
+        try:
+            want = sorted_counts(count_per_polygon(spatial_join(spark, points, approx_bundle).select("*")))
+            counts = [count_per_polygon(spatial_join(spark, points, approx_bundle))]
+            for group in groups:
+                sc.setJobGroup(group, "count_per_polygon")
+                counts.append(count_per_polygon(spatial_join(spark, points, approx_bundle)))
+            sc._jsc.clearJobGroup()
+            for got in counts:
+                pd.testing.assert_frame_equal(sorted_counts(got), want)
+            assert reads_packed(join._count_kernel(points, approx_bundle)) == (kind == "persisted-shuffled")
+        finally:
+            sc._jsc.clearJobGroup()
+            points.unpersist()
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        tracker = sc.statusTracker()
+        for i, group in enumerate(groups):
+            jobs = tracker.getJobIdsForGroup(group)
+            assert len(jobs) == (2 if kind == "persisted-shuffled" and i == 0 else 1), group
+            for job in jobs:
+                stages = [tracker.getStageInfo(s) for s in tracker.getJobInfo(job).stageIds]
+                ran = [st for st in stages if st is not None and st.numCompletedTasks]
+                assert [(st.numTasks, st.numCompletedTasks) for st in ran] == [(n_partitions, n_partitions)]
+
+
+class TestPackedPoints:
+    """From the second join on persisted points, the kernel reads a
+    persisted packed copy of the columns it reads; pairs, counts and
+    counters equal the row path's and the SQL oracle's."""
+
+    @pytest.mark.parametrize("bundle_name", ["approx_bundle", "exact_bundle"])
+    def test_equals_row_path_and_oracle(self, request, spark, neigh, persisted_points, bundle_name):
+        bundle = request.getfixturevalue(bundle_name)
+        points, pdf = persisted_points
+
+        def results():
+            joined = spatial_join(spark, points, bundle)
+            got = pairs(joined), sorted_counts(count_per_polygon(joined)), spatial_join_stats(spark, points, bundle)
+            return got, joined
+
+        first, joined = results()
+        assert not reads_packed(joined) and not points._packed
+        for _ in range(2):
+            again, joined = results()
+            assert reads_packed(joined) and kernel_inputs(joined) == ["pid", "x", "y"]
+            count = join._count_kernel(points, bundle)
+            assert reads_packed(count) and kernel_inputs(count) == ["x", "y"]
+            assert set(points._packed) == {("pid", "x", "y"), ("x", "y")}
+            assert again[0] == first[0]
+            pd.testing.assert_frame_equal(again[1], first[1])
+            pd.testing.assert_frame_equal(again[2], first[2])
+        inv = np.array(INVALID_XY + [(np.nan, 10.0)])
+        rows, _p, _t, driver = probe_batch(
+            bundle,
+            np.concatenate([pdf["x"].to_numpy(), inv[:, 0]]),
+            np.concatenate([pdf["y"].to_numpy(), inv[:, 1]]),
+            exact=bundle.mode == "accurate",
+        )
+        driver["result_pairs"] = len(rows)
+        assert {k: int(v) for k, v in first[2].iloc[0].items()} == driver
+        truth = oracle_pairs(pdf, neigh)
+        if bundle.mode == "accurate":
+            assert first[0] == truth
+            assert_equivalent(
+                count_per_polygon(spatial_join(spark, points, bundle)),
+                PIP_COUNT_SQL,
+                points=pdf,
+                edges=neigh.edges_pdf(),
+            )
+        else:
+            assert truth <= first[0]
+        assert max(pid for pid, _ in first[0]) < len(pdf)
+
+    def test_unpersist_unpersists_packed_copy(self, spark, points_pdf, approx_bundle):
+        points = spark.createDataFrame(points_pdf).persist()
+        try:
+            want = sorted_counts(count_per_polygon(spatial_join(spark, points, approx_bundle)))
+            count_per_polygon(spatial_join(spark, points, approx_bundle))
+            copies = [packed for packed, _release in points._packed.values()]
+            assert len(copies) == 2 and all(join._persisted(c) for c in copies)
+        finally:
+            points.unpersist()
+        counts = count_per_polygon(spatial_join(spark, points, approx_bundle))
+        assert not points._packed and not any(join._persisted(c) for c in copies)
+        assert not reads_packed(join._count_kernel(points, approx_bundle))
+        pd.testing.assert_frame_equal(sorted_counts(counts), want)
 
 
 class _FakeBroadcast:
