@@ -25,14 +25,7 @@ def main() -> None:
     p.add_argument("--points", type=int, default=1_000_000)
     p.add_argument("--kind", default="taxi", choices=["taxi", "uniform"])
     args = p.parse_args()
-    # Python workers talk to the JVM over Unix domain sockets: PySpark's
-    # TCP sockets do not set TCP_NODELAY, and Nagle's algorithm with delayed
-    # ACKs holds a task's first input batch back for about 40 ms.
-    spark = (
-        SparkSession.builder.appName("repro-spatial-join")
-        .config("spark.python.unix.domain.socket.enabled", "true")
-        .getOrCreate()
-    )
+    spark = SparkSession.builder.appName("repro-spatial-join").getOrCreate()
     try:
         pset = sd.polygon_dataset(args.dataset, scale=args.scale)
         bundle = build_index(

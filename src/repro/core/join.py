@@ -26,16 +26,19 @@ is garbage-collected. Likewise the operator is prepared once per (points
 DataFrame, bundle, emitted batch) and reused by later calls: a repeated
 query reuses its plan, and each run still probes every point.
 
-From the second join on a persisted points DataFrame (the first reuse of
-an operator on it), the kernel reads a persisted packed copy of the
-points' columns: one binary Arrow IPC row per chunk, opened without a copy.
-Spark's Arrow writer then writes a few values per partition, not one per
-point and column, which was most of the JVM's time in a warm query. The
-copy holds the columns as doubles and longs, 16 B per point for ``x, y``
-(24 B with ``pid``), on top of the persisted points. It is unpersisted when
-a join finds the points unpersisted, or when the points are
-garbage-collected. The first join reads rows, so a one-shot job pays no
-extra pass over the points.
+From the second count or counter query on a persisted points DataFrame
+(the first reuse of an operator over ``x, y``), the kernel reads a
+persisted packed copy of the points' ``x, y``: binary rows, each the
+Arrow IPC stream of a slice of points, opened without a copy. Spark's
+Arrow writer then writes one value per slice, not one per point and
+column, which was most of the JVM's time in a warm query. The copy costs
+16 B per point on top of the persisted points. A slice holds as many
+points as keep a batch of the session's record cap of rows within the
+2 GiB a binary Arrow vector holds (``_packed_rows``); without a positive
+record cap the points are read as rows. The copy is unpersisted when a
+join finds the points unpersisted, or when the points are
+garbage-collected. The first query reads rows, so a one-shot job pays no
+extra pass over the points, and ``spatial_join``'s pairs always read rows.
 
 The kernel sees only the columns it reads: the input is projected to
 ``pid, x, y`` or ``x, y`` (cast to long/double) before it crosses into
@@ -55,7 +58,6 @@ record cap (10 K rows by default) still ends every batch.
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
 import sys
 import threading
@@ -307,7 +309,8 @@ _INPUT_TYPES = {"pid": "long", "x": "double", "y": "double"}
 #: Spark's Arrow batch caps. Unless the byte cap is ``Int.MaxValue``, the
 #: JVM's Arrow writer measures the whole batch after every row it appends.
 #: A kernel's input rows are fixed-width (at most 24 B), so the record cap
-#: ends each batch long before Spark's default byte cap (64 MiB) could.
+#: ends each batch long before Spark's default byte cap (64 MiB) could; a
+#: packed copy's rows are sized by the record cap too (``_packed_rows``).
 _ARROW_MAX_BYTES = "spark.sql.execution.arrow.maxBytesPerBatch"
 _ARROW_MAX_RECORDS = "spark.sql.execution.arrow.maxRecordsPerBatch"
 _JVM_INT_MAX = "2147483647"
@@ -358,10 +361,24 @@ def _bools(mask: np.ndarray) -> pa.Array:
 
 
 #: Rows the probe kernel probes at once, at least: Arrow's batches (10 K
-#: rows by default) are concatenated up to this size. ``_map_probe`` and
-#: ``_packed`` read it when they build an operator or a packed copy, not on
-#: the executors.
+#: rows by default), or a packed copy's slices, are concatenated up to this
+#: size. ``_map_probe`` reads it when it builds an operator, not on the
+#: executors.
 _CHUNK_ROWS = 131072
+
+#: The columns a packed copy holds: those of the count and counter kernels.
+_PACKED_COLUMNS = ("x", "y")
+
+#: A packed row's bytes, at most: its IPC stream's headers (368 B for
+#: ``x, y``), then two doubles per point and, when a column has nulls, its
+#: validity bits.
+_PACKED_HEADER_BYTES = 512
+_PACKED_POINT_BYTES = 17
+
+#: Spark's Arrow writer puts a batch of packed rows in one binary vector,
+#: and Arrow Java refuses a binary vector of more than ``Int.MaxValue``
+#: bytes of data (its offsets are 32-bit).
+_PACKED_BATCH_BYTES = 2**31 - 1
 
 #: Guards the check-then-create of ``_bundle_broadcast``, ``_packed`` and
 #: ``_map_probe``: queries on one bundle or one points DataFrame may start
@@ -438,12 +455,22 @@ def _pack(chunk: pa.RecordBatch) -> pa.RecordBatch:
 
 
 def _unpacked(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
-    """The chunks that the rows of a packed copy's ``batches`` hold, read
+    """The slices that the rows of a packed copy's ``batches`` hold, read
     from Spark's buffers without a copy."""
     for batch in batches:
         packed = batch.column(0)
         for i in range(batch.num_rows):
             yield pa.ipc.open_stream(packed[i].as_buffer()).read_next_batch()
+
+
+def _packed_rows(spark: SparkSession) -> int:
+    """Points per row of a packed copy such that a batch of the session's
+    record cap of rows fits in ``_PACKED_BATCH_BYTES``; 0 when no positive
+    record cap bounds a batch, or no point would fit."""
+    records = int(spark.conf.get(_ARROW_MAX_RECORDS))
+    if records <= 0:
+        return 0
+    return max(0, (_PACKED_BATCH_BYTES // records - _PACKED_HEADER_BYTES) // _PACKED_POINT_BYTES)
 
 
 def _persisted(df: DataFrame) -> bool:
@@ -458,45 +485,37 @@ def _unpersist(df: DataFrame) -> None:
         df.unpersist()
 
 
-def _packed(points_df: DataFrame, columns: tuple[str, ...], persisted: bool, make: bool) -> DataFrame | None:
-    """The packed copy of ``columns`` of ``points_df``, while the points
-    are ``persisted``: the one made before, else a new one if ``make``;
-    when they are not, every packed copy of theirs is unpersisted.
+def _packed(points_df: DataFrame, persisted: bool, make: bool) -> DataFrame | None:
+    """The packed copy of ``points_df``'s ``x, y`` while the points are
+    ``persisted``: the one made before for the session's record cap, else a
+    new one if ``make``. Any other copy of theirs is unpersisted.
 
-    A packed copy is a persisted DataFrame of one binary Arrow IPC row per
-    chunk of at least ``_CHUNK_ROWS`` rows of each partition (``_pack``),
-    filled by the first job that reads it. A kernel reads its chunks as
-    they are (``_unpacked``), so Spark's Arrow writer writes a few values
-    per partition instead of one per point and column. A copy found
-    unpersisted itself is forgotten, and one is unpersisted when its
-    points are garbage-collected.
-
-    The copies are kept on the points DataFrame (``_packed``), by the
-    columns they hold, each with the finalizer that unpersists it.
+    A packed copy is a persisted DataFrame of binary rows, each the Arrow
+    IPC stream (``_pack``) of a slice of at most ``_packed_rows`` points of
+    one Arrow batch, filled by the first job that reads it. A kernel reads
+    the slices as they are (``_unpacked``), so Spark's Arrow writer writes
+    one value per slice instead of one per point and column. It is kept
+    on the points DataFrame (``_packed``), with its slice size and the
+    finalizer that unpersists it when the points are garbage-collected.
     """
-    copies = points_df.__dict__.setdefault("_packed", {})
-    if not persisted:
-        for _copy, release in copies.values():
-            release()
-        copies.clear()
-        return None
-    held = copies.get(columns)
-    if held is not None and not _persisted(held[0]):
-        copies.pop(columns)[1]()
+    rows = _packed_rows(points_df.sparkSession) if persisted else 0
+    held = points_df.__dict__.get("_packed")
+    if held is not None and (held[0] != rows or not _persisted(held[1])):
+        points_df.__dict__.pop("_packed")[2]()
         held = None
-    if held is None and make:
-        chunk_rows = _CHUNK_ROWS
+    if held is None and rows and make:
 
         def pack(batches):
-            for chunk in _chunks(batches, chunk_rows):
-                yield _pack(chunk)
+            for batch in batches:
+                for start in range(0, batch.num_rows, rows):
+                    yield _pack(batch.slice(start, rows))
 
-        packed = _project(points_df, columns).mapInArrow(pack, "chunk binary").persist()
+        packed = _project(points_df, _PACKED_COLUMNS).mapInArrow(pack, "chunk binary").persist()
         release = weakref.finalize(points_df, _unpersist, packed)
         # At interpreter exit the JVM drops the cache with the context.
         release.atexit = False
-        held = copies[columns] = (packed, release)
-    return held[0] if held else None
+        held = points_df._packed = (rows, packed, release)
+    return held[1] if held else None
 
 
 def _map_probe(
@@ -516,13 +535,13 @@ def _map_probe(
     returned again by later calls, so a repeated query reuses its plan;
     each run still probes every point. It is kept on the bundle, keyed
     weakly by the points, and it references neither. When a later call
-    finds the points persisted, the operator is rebuilt once over their
-    packed copy of ``columns`` (``_packed``), made then; a first call reads
-    a packed copy only if one exists already. The operator is rebuilt when
-    the points' persistence, their packed copy or the bundle's broadcast
-    has changed since it was built. Each call lifts the Arrow byte cap
-    (``_lift_arrow_byte_cap``); Spark reads both caps when the operator
-    runs.
+    of an operator over ``x, y`` finds the points persisted, the operator
+    is rebuilt once over their packed copy (``_packed``), made then; a
+    first call reads a packed copy only if one exists already. The
+    operator is rebuilt when the points' persistence, their packed copy,
+    the bundle's broadcast or ``_CHUNK_ROWS`` has changed since it was
+    built. Each call lifts the Arrow byte cap (``_lift_arrow_byte_cap``);
+    Spark reads both caps when the operator runs.
 
     It probes the bundle's one broadcast in this context
     (``_bundle_broadcast``), and each task finally evicts the worker's zip
@@ -535,21 +554,24 @@ def _map_probe(
         built = bundle.__dict__.setdefault("_operators", weakref.WeakKeyDictionary())
         held = built.setdefault(points_df, {}).get(emit)
         persisted = _persisted(points_df)
-        source = _packed(points_df, columns, persisted, make=held is not None)
-        key = (bc, persisted, source)
-        if held is not None and all(a is b for a, b in zip(held[0], key)):
+        packs = columns == _PACKED_COLUMNS
+        packed = _packed(points_df, persisted, make=packs and held is not None)
+        if not packs:
+            packed = None
+        key = (bc, persisted, packed, _CHUNK_ROWS)
+        if held is not None and held[0] == key:
             return held[1]
         exact = bundle.mode == "accurate"
-        if source is None:
-            chunks = functools.partial(_chunks, rows=_CHUNK_ROWS)
-            source = _project(points_df, columns)
+        chunk_rows = _CHUNK_ROWS
+        if packed is None:
+            source, read = _project(points_df, columns), iter
         else:
-            chunks = _unpacked
+            source, read = packed, _unpacked
 
         def kernel(batches):
             try:
                 received = bc.value
-                for chunk in chunks(batches):
+                for chunk in _chunks(read(batches), chunk_rows):
                     x, y = _float64(chunk.column("x")), _float64(chunk.column("y"))
                     out = emit(chunk, *probe_batch(received, x, y, exact))
                     yield pa.RecordBatch.from_pydict(out, schema=schema)
@@ -591,10 +613,9 @@ def spatial_join(
     ``maxRecordsPerBatch`` is positive (``_lift_arrow_byte_cap``).
 
     Each call returns a new DataFrame over one plan prepared for
-    (``points_df``, ``bundle``) on first use. From the second call on a
-    persisted ``points_df``, that plan reads a packed copy of the points'
-    ``pid, x, y`` (24 B per point), made then and filled when it first
-    runs (``_packed``); the first call reads the points' rows.
+    (``points_df``, ``bundle``) on first use. The pairs are always probed
+    from the points' rows; only the count and the counters read a packed
+    copy of persisted points.
 
     The returned DataFrame records ``points_df`` and ``bundle``, so that
     ``count_per_polygon`` of it counts in the probe kernel.
@@ -671,9 +692,9 @@ def count_per_polygon(join_df: DataFrame) -> DataFrame:
     operator prepared for (points, bundle) on its first count. From the
     second count on persisted points, that operator reads a packed copy of
     their ``x, y`` (16 B per point; ``_packed``), filled by the count that
-    makes it; the first count reads rows. ``cache()`` and ``persist()``
-    return the join result itself, so a cached join result is still
-    counted from the points.
+    makes it and shared with ``spatial_join_stats``; the first count reads
+    rows. ``cache()`` and ``persist()`` return the join result itself, so
+    a cached join result is still counted from the points.
 
     Any other DataFrame (``spatial_join(...).filter("true_hit")``, a
     ``select`` of it, ...) is grouped by ``poly_id`` and counted as is,

@@ -497,12 +497,16 @@ class TestChunking:
         """97-row Arrow batches and 1,000-row chunks: each of the two
         partitions (2,000 rows) forms a full chunk and a short one."""
         sdf = spark.createDataFrame(points_pdf).repartition(2)
-        default_approx = pairs(spatial_join(spark, sdf, approx_bundle))
+        default = spatial_join(spark, sdf, approx_bundle)
+        default_approx = pairs(default)
         arrow_confs.set(join._ARROW_MAX_RECORDS, "97")
         monkeypatch.setattr(join, "_CHUNK_ROWS", 1000)
         exact = spatial_join(spark, sdf, exact_bundle).select("pid", "poly_id")
         assert_equivalent(exact, PIP_JOIN_SQL, points=points_pdf, edges=neigh.edges_pdf())
-        assert pairs(spatial_join(spark, sdf, approx_bundle)) == default_approx
+        # The operator prepared with the default chunks is not reused.
+        small = spatial_join(spark, sdf, approx_bundle)
+        assert small._jdf is not default._jdf
+        assert pairs(small) == default_approx
         assert_counts_pushed_down(spatial_join(spark, sdf, exact_bundle))
         stats = spatial_join_stats(spark, sdf, exact_bundle)
         rows, _p, _t, driver = probe_batch(
@@ -736,14 +740,14 @@ class TestPreparedOperator:
 
     def test_keeps_neither_bundle_nor_points_alive(self, spark, neigh, points_pdf):
         """Once the caller drops them, the bundle's broadcast file goes and
-        the points' packed copies are unpersisted."""
+        the points' packed copy is unpersisted."""
         bundle = build_index(neigh, sd.EXTENT, mode="approx", precision_m=60.0)
         points = spark.createDataFrame(points_pdf).persist()
         for _ in range(2):
             count_per_polygon(spatial_join(spark, points, bundle)).collect()
             spatial_join_stats(spark, points, bundle)
-        copies = [packed for packed, _release in points._packed.values()]
-        assert len(copies) == 2 and all(join._persisted(c) for c in copies)
+        copies = [points._packed[1]]
+        assert join._persisted(copies[0])
         refs = weakref.ref(bundle), weakref.ref(points)
         path = _bundle_broadcast(spark.sparkContext, bundle)._path
         points_jdf = points._jdf
@@ -775,7 +779,7 @@ class TestPreparedOperator:
         packed = rounds[1][0]
         assert len({id(op) for op in rounds[0]}) == 2 and any(op is packed for op in rounds[0])
         assert all(op is packed for op in rounds[1])
-        assert set(points._packed) == {("x", "y")}
+        assert points._packed[0] == join._packed_rows(spark)
 
     def test_reused_operator_reads_arrow_caps_when_run(
         self, spark, arrow_confs, monkeypatch, points_sdf, approx_bundle
@@ -846,9 +850,10 @@ class TestPreparedOperator:
 
 
 class TestPackedPoints:
-    """From the second join on persisted points, the kernel reads a
-    persisted packed copy of the columns it reads; pairs, counts and
-    counters equal the row path's and the SQL oracle's."""
+    """From the second count or counter query on persisted points, the
+    kernel reads a persisted packed copy of their ``x, y``; counts and
+    counters equal the row path's and the SQL oracle's, and the pairs are
+    still probed from rows."""
 
     @pytest.mark.parametrize("bundle_name", ["approx_bundle", "exact_bundle"])
     def test_equals_row_path_and_oracle(self, request, spark, neigh, persisted_points, bundle_name):
@@ -861,13 +866,12 @@ class TestPackedPoints:
             return got, joined
 
         first, joined = results()
-        assert not reads_packed(joined) and not points._packed
+        assert not reads_packed(joined) and "_packed" not in points.__dict__
         for _ in range(2):
             again, joined = results()
-            assert reads_packed(joined) and kernel_inputs(joined) == ["pid", "x", "y"]
+            assert not reads_packed(joined) and kernel_inputs(joined) == ["pid", "x", "y"]
             count = join._count_kernel(points, bundle)
             assert reads_packed(count) and kernel_inputs(count) == ["x", "y"]
-            assert set(points._packed) == {("pid", "x", "y"), ("x", "y")}
             assert again[0] == first[0]
             pd.testing.assert_frame_equal(again[1], first[1])
             pd.testing.assert_frame_equal(again[2], first[2])
@@ -898,14 +902,61 @@ class TestPackedPoints:
         try:
             want = sorted_counts(count_per_polygon(spatial_join(spark, points, approx_bundle)))
             count_per_polygon(spatial_join(spark, points, approx_bundle))
-            copies = [packed for packed, _release in points._packed.values()]
-            assert len(copies) == 2 and all(join._persisted(c) for c in copies)
+            copy = points._packed[1]
+            assert join._persisted(copy)
         finally:
             points.unpersist()
         counts = count_per_polygon(spatial_join(spark, points, approx_bundle))
-        assert not points._packed and not any(join._persisted(c) for c in copies)
+        assert "_packed" not in points.__dict__ and not join._persisted(copy)
         assert not reads_packed(join._count_kernel(points, approx_bundle))
         pd.testing.assert_frame_equal(sorted_counts(counts), want)
+
+    @pytest.mark.parametrize("records", [1, 97, 10_000, 1 << 20])
+    def test_record_cap_of_slices_fits_a_binary_vector(self, spark, arrow_confs, records):
+        """A packed row holds at most ``_packed_rows`` points, so a batch of
+        the record cap of packed rows fits in Arrow Java's binary vector,
+        nulls in both columns included."""
+        arrow_confs.set(join._ARROW_MAX_RECORDS, str(records))
+        rows = join._packed_rows(spark)
+        column = pa.array(np.arange(rows, dtype=np.float64), mask=np.arange(rows) % 2 == 0)
+        packed = join._pack(pa.RecordBatch.from_arrays([column, column], ["x", "y"]))
+        assert rows > 0 and records * packed.column(0)[0].as_buffer().size <= 2**31 - 1
+
+    @pytest.mark.parametrize("records", [0, -1, 10**7])
+    def test_no_slice_fits_reads_rows(self, spark, arrow_confs, records):
+        arrow_confs.set(join._ARROW_MAX_RECORDS, str(records))
+        assert join._packed_rows(spark) == 0
+
+    def test_many_slices_per_batch_and_cap_changes(self, spark, arrow_confs, persisted_points, approx_bundle):
+        """With a record cap that leaves room for 50 points per packed row,
+        each partition's one Arrow batch becomes many packed rows, and the
+        kernel reads them all in one batch. A later record cap makes a new
+        copy and unpersists the old one; no positive cap reads rows."""
+        points, _pdf = persisted_points
+        per_row = join._PACKED_HEADER_BYTES + 50 * join._PACKED_POINT_BYTES
+        arrow_confs.set(join._ARROW_MAX_RECORDS, str(join._PACKED_BATCH_BYTES // per_row))
+        assert join._packed_rows(spark) == 50
+        want = sorted_counts(count_per_polygon(spatial_join(spark, points, approx_bundle)))
+        got = sorted_counts(count_per_polygon(spatial_join(spark, points, approx_bundle)))
+        copy = points._packed[1]
+        assert reads_packed(join._count_kernel(points, approx_bundle))
+        slices = copy.mapInArrow(
+            lambda batches: (pa.RecordBatch.from_pydict({"n": [b.num_rows]}) for b in batches), "n long"
+        ).collect()
+        assert len(slices) == 5 and sum(r.n for r in slices) >= points.count() / 50
+        pd.testing.assert_frame_equal(got, want)
+        arrow_confs.set(join._ARROW_MAX_RECORDS, "10000")
+        got = sorted_counts(count_per_polygon(spatial_join(spark, points, approx_bundle)))
+        assert not join._persisted(copy) and points._packed[0] == join._packed_rows(spark)
+        assert reads_packed(join._count_kernel(points, approx_bundle))
+        pd.testing.assert_frame_equal(got, want)
+        # The pushed-down count itself fails without a record cap (PySpark's
+        # createDataFrame of an Arrow table), so the counters are compared.
+        stats = spatial_join_stats(spark, points, approx_bundle)
+        arrow_confs.set(join._ARROW_MAX_RECORDS, "0")
+        pd.testing.assert_frame_equal(spatial_join_stats(spark, points, approx_bundle), stats)
+        assert "_packed" not in points.__dict__
+        assert not reads_packed(approx_bundle._operators[points][join._emit_counters][1])
 
 
 class _FakeBroadcast:
