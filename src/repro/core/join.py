@@ -10,14 +10,14 @@ phase over polygons), broadcast to the executors, and probed per partition
 in a ``mapInArrow`` kernel (a DataFrame -> DataFrame physical operator; see
 DESIGN.md §5 for why a JVM operator is out of scope).
 
-There is one such operator, ``_map_probe``; ``spatial_join`` (the pairs),
-``spatial_join_stats`` (the probe counters) and the pushed-down
-``count_per_polygon`` (points per polygon) differ only in the batch they
-emit for each probed chunk. The pushed-down count is one Spark job of one
-stage, run when ``count_per_polygon`` is called: the driver sums the
-chunks' per-polygon counts, with no Spark aggregate and no shuffle. The query
-path builds no PySpark ``Column``: the input projection is one
-``selectExpr``.
+There is one such operator, ``_map_probe``; ``spatial_join`` (the pairs)
+and the pushed-down ``count_per_polygon`` (points per polygon, and the
+join's ``probe_batch`` counters from the same pass, as in the paper's probe
+loop) differ only in the batch they emit for each probed chunk. The
+pushed-down count is one Spark job of one stage, run when
+``count_per_polygon`` is called: the driver sums the chunks' counts and
+counters, with no Spark aggregate and no shuffle. The query path builds no
+PySpark ``Column``: the input projection is one ``selectExpr``.
 
 A bundle is broadcast once per ``SparkContext`` and the broadcast is
 shared by every query on it, so a warm query pays neither the pickling nor
@@ -26,8 +26,8 @@ is garbage-collected. Likewise the operator is prepared once per (points
 DataFrame, bundle, emitted batch) and reused by later calls: a repeated
 query reuses its plan, and each run still probes every point.
 
-From the second count or counter query on a persisted points DataFrame
-(the first reuse of an operator over ``x, y``), the kernel reads a
+From the second count on a persisted points DataFrame (the first reuse
+of the count's operator, the one over ``x, y``), the kernel reads a
 persisted packed copy of the points' ``x, y``: binary rows, each the
 Arrow IPC stream of a slice of points, opened without a copy. Spark's
 Arrow writer then writes one value per slice, not one per point and
@@ -42,12 +42,11 @@ extra pass over the points, and ``spatial_join``'s pairs always read rows.
 
 The kernel sees only the columns it reads: the input is projected to
 ``pid, x, y`` or ``x, y`` (cast to long/double) before it crosses into
-Python, ``x`` and ``y`` are read as numpy views of the Arrow columns, and
-the output batch is built from numpy arrays, with no pandas DataFrame on
-either side; the kernels import no pandas on the executors unless an
-input column holds nulls. Points that are null, not
-finite or outside the index extent are rejected by ``probe_batch`` and
-never paired. The kernel probes chunks
+Python, ``x`` and ``y`` are read as numpy views of the Arrow columns (a
+null reads as NaN), and the output batch is built from numpy arrays, with
+no pandas DataFrame on either side; the kernels import no pandas on the
+executors. Points that are null, not finite or outside the index extent
+are rejected by ``probe_batch`` and never paired. The kernel probes chunks
 of at least ``_CHUNK_ROWS`` rows, not Arrow's 10 K-row batches, so the
 fixed cost per probe (and, in accurate mode, per refinement call) is paid
 a few times per partition instead of once per batch. Unless the session
@@ -66,12 +65,12 @@ import weakref
 import zipimport
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 import pyarrow as pa
 from pyspark import Broadcast, SparkContext
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.pandas.serializers import ArrowStreamSerializer
 from pyspark.sql.pandas.types import from_arrow_schema
 
 from repro.core import cellid
@@ -81,9 +80,6 @@ from repro.core.supercovering import SuperCovering, merge_coverings
 from repro.baselines.btree import build_btree
 from repro.baselines.sorted_vector import build_sorted_vector
 from repro.geometry.polygon import PolygonSet
-
-if TYPE_CHECKING:
-    import pandas as pd
 
 #: Default S2RegionCoverer-analog budget (paper §4 "Polygon Approximations":
 #: max covering cells=128, max interior cells=256 at Earth scale). Scaled up
@@ -336,15 +332,19 @@ def _project(points_df: DataFrame, columns: tuple[str, ...]) -> DataFrame:
 
 
 def _float64(column: pa.Array) -> np.ndarray:
-    """A double Arrow column as numpy: a zero-copy view of its buffer when
-    it has no nulls; nulls read as NaN, which ``probe_batch`` rejects.
+    """A double Arrow column as numpy: a zero-copy view of its buffer, or
+    a copy with NaN, which ``probe_batch`` rejects, for its nulls. (A
+    ``coalesce`` in ``_project`` would add a Spark ``Project`` over every
+    row read.)
 
-    numpy reads the buffer itself because pyarrow's own conversions
+    numpy reads the buffers itself because pyarrow's own conversions
     (``to_numpy``, ``pa.array``) import pandas on their first call, 0.2 s
     in every fresh worker."""
+    values = np.frombuffer(column.buffers()[1], np.float64, len(column), column.offset * 8)
     if column.null_count:
-        return column.to_numpy(zero_copy_only=False)
-    return np.frombuffer(column.buffers()[1], np.float64, len(column), column.offset * 8)
+        valid = np.unpackbits(np.frombuffer(column.buffers()[0], np.uint8), bitorder="little")
+        values = np.where(valid[column.offset : column.offset + len(column)], values, np.nan)
+    return values
 
 
 def _int64(values) -> pa.Array:
@@ -366,7 +366,7 @@ def _bools(mask: np.ndarray) -> pa.Array:
 #: executors.
 _CHUNK_ROWS = 131072
 
-#: The columns a packed copy holds: those of the count and counter kernels.
+#: The columns a packed copy holds: those of the count's kernel.
 _PACKED_COLUMNS = ("x", "y")
 
 #: A packed row's bytes, at most: its IPC stream's headers (368 B for
@@ -535,13 +535,13 @@ def _map_probe(
     returned again by later calls, so a repeated query reuses its plan;
     each run still probes every point. It is kept on the bundle, keyed
     weakly by the points, and it references neither. When a later call
-    of an operator over ``x, y`` finds the points persisted, the operator
-    is rebuilt once over their packed copy (``_packed``), made then; a
-    first call reads a packed copy only if one exists already. The
-    operator is rebuilt when the points' persistence, their packed copy,
-    the bundle's broadcast or ``_CHUNK_ROWS`` has changed since it was
-    built. Each call lifts the Arrow byte cap (``_lift_arrow_byte_cap``);
-    Spark reads both caps when the operator runs.
+    of the count's operator finds the points persisted, it is rebuilt
+    once over their packed ``x, y`` (``_packed``), made then; a first
+    call reads a packed copy only if one exists already. The operator is
+    rebuilt when the points' persistence, their packed copy, the bundle's
+    broadcast or ``_CHUNK_ROWS`` has changed since it was built. Each call
+    lifts the Arrow byte cap (``_lift_arrow_byte_cap``); Spark reads both
+    caps when the operator runs.
 
     It probes the bundle's one broadcast in this context
     (``_bundle_broadcast``), and each task finally evicts the worker's zip
@@ -614,8 +614,8 @@ def spatial_join(
 
     Each call returns a new DataFrame over one plan prepared for
     (``points_df``, ``bundle``) on first use. The pairs are always probed
-    from the points' rows; only the count and the counters read a packed
-    copy of persisted points.
+    from the points' rows; only the count reads a packed copy of persisted
+    points.
 
     The returned DataFrame records ``points_df`` and ``bundle``, so that
     ``count_per_polygon`` of it counts in the probe kernel.
@@ -629,50 +629,41 @@ def spatial_join(
     return joined
 
 
-#: ``probe_batch`` counters that ``spatial_join_stats`` sums.
+#: ``probe_batch`` counters, which ``count_per_polygon`` sums into ``join_stats``.
 _STATS = ("points", "rejected_points", "true_pairs", "cand_pairs", "pip_tests", "sth_points")
 
-#: ``spatial_join_stats``' kernel output: each chunk's counters and the
-#: pairs the join emits for it.
-_COUNTERS = pa.schema([(k, pa.int64()) for k in _STATS + ("result_pairs",)])
-
-
-def _emit_counters(_chunk, rows, _polys, _is_true, stats) -> dict:
-    return {**{k: _int64([stats[k]]) for k in _STATS}, "result_pairs": _int64([len(rows)])}
-
-
-def spatial_join_stats(
-    spark: SparkSession,
-    points_df: DataFrame,
-    bundle: PolygonIndexBundle,
-) -> pd.DataFrame:
-    """Summed probe counters (points, STH, PIP tests...) of the join, and
-    the pairs it emits (``result_pairs``), as one pandas row.
-
-    The paper reports these (e.g. the solely-true-hits metric of Table 7).
-    The operator is ``spatial_join``'s over ``x`` and ``y`` only; it emits
-    one counter row per chunk, and the driver sums them.
-    """
-    counters = _map_probe(points_df, bundle, ("x", "y"), _emit_counters, _COUNTERS)
-    return counters.toPandas().sum().to_frame().T
-
-
-#: ``count_per_polygon``'s kernel output: each chunk's distinct polygons
-#: and their pair counts.
+#: ``count_per_polygon``'s kernel output: each chunk's distinct polygons and
+#: their pair counts, then its counters, ``_STATS[k]`` as ``poly_id`` ``-1 - k``
+#: (polygon ids are at least 0).
 _COUNTS = pa.schema([("poly_id", pa.int64()), ("n", pa.int64())])
+_STAT_IDS = -1 - np.arange(len(_STATS))
 
 
-def _emit_counts(_chunk, _rows, polys, _is_true, _stats) -> dict:
+def _emit_counts(_chunk, _rows, polys, _is_true, stats) -> dict:
     n = np.bincount(polys)
     ids = np.flatnonzero(n)
-    return {"poly_id": _int64(ids), "n": _int64(n[ids])}
+    counters = [stats[k] for k in _STATS]
+    return {"poly_id": _int64(np.r_[ids, _STAT_IDS]), "n": _int64(np.r_[n[ids], counters])}
 
 
 def _count_kernel(points_df: DataFrame, bundle: PolygonIndexBundle) -> DataFrame:
     """The pushed-down count's operator: ``spatial_join``'s operator over
     the points' ``x`` and ``y``, emitting each chunk's polygons of at
-    least one pair and their pair counts."""
+    least one pair, their pair counts and the chunk's counters."""
     return _map_probe(points_df, bundle, ("x", "y"), _emit_counts, _COUNTS)
+
+
+def _local_rows(spark: SparkSession, batch: pa.RecordBatch) -> DataFrame:
+    """``batch`` as a DataFrame that holds its rows in its plan, so
+    collecting it runs no job: PySpark's ``createDataFrame`` of an Arrow
+    table without its split by the Arrow record cap, which raises for a cap
+    below 1. (Python rows would be scanned from an RDD, in a job.)"""
+    jvm = spark._jvm
+    rows = spark.sparkContext._serialize_to_jvm(
+        [batch], ArrowStreamSerializer(), jvm.PythonSQLUtils.readArrowStreamFromFile, jvm.ArrowIteratorServer
+    )
+    schema = from_arrow_schema(batch.schema).json()
+    return DataFrame(jvm.PythonSQLUtils.toDataFrame(rows, schema, spark._jsparkSession), spark)
 
 
 def count_per_polygon(join_df: DataFrame) -> DataFrame:
@@ -687,26 +678,34 @@ def count_per_polygon(join_df: DataFrame) -> DataFrame:
     counts, and the driver collects them and sums them per polygon. The
     driver receives at most one row per distinct polygon per chunk, the
     rows a Spark partial aggregate would shuffle. The returned DataFrame
-    holds the sums as local rows, so collecting it runs no job. No result
-    is cached: each call probes all points again, through one counting
-    operator prepared for (points, bundle) on its first count. From the
-    second count on persisted points, that operator reads a packed copy of
-    their ``x, y`` (16 B per point; ``_packed``), filled by the count that
-    makes it and shared with ``spatial_join_stats``; the first count reads
-    rows. ``cache()`` and ``persist()`` return the join result itself, so
-    a cached join result is still counted from the points.
+    holds the sums as local rows (``_local_rows``), so collecting it runs
+    no job. No result is cached: each call probes all points again,
+    through one counting operator prepared for (points, bundle) on its
+    first count. From the second count on persisted points, that operator
+    reads a packed copy of their ``x, y`` (16 B per point; ``_packed``),
+    filled by the count that makes it; the first count reads rows.
+    ``cache()`` and ``persist()`` return the join result itself, so a
+    cached join result is still counted from the points.
+
+    The same pass counts what the join did: the result's ``join_stats`` is
+    a dict of the chunks' summed ``probe_batch`` counters (ints) and
+    ``result_pairs``, the pairs the join emits, which the counts sum to.
 
     Any other DataFrame (``spatial_join(...).filter("true_hit")``, a
     ``select`` of it, ...) is grouped by ``poly_id`` and counted as is,
-    lazily, like any Spark aggregate.
+    lazily, like any Spark aggregate, and carries no ``join_stats``.
     """
     inputs = getattr(join_df, "_join_inputs", None)
     if inputs is None:
         return join_df.groupBy("poly_id").count().withColumnRenamed("count", "n_points")
     points_df, bundle = inputs
     counts = _count_kernel(points_df, bundle).toArrow()
-    totals = np.zeros(len(bundle.pset), np.int64)
-    np.add.at(totals, counts.column("poly_id").to_numpy(), counts.column("n").to_numpy())
+    # The rows of id i sum at n_stats + i: the counters first, then the polygons.
+    n_stats = len(_STATS)
+    sums = np.zeros(n_stats + len(bundle.pset), np.int64)
+    np.add.at(sums, counts.column("poly_id").to_numpy() + n_stats, counts.column("n").to_numpy())
+    totals = sums[n_stats:]
     ids = np.flatnonzero(totals)
-    summed = pa.table({"poly_id": ids, "n_points": totals[ids]})
-    return join_df.sparkSession.createDataFrame(summed)
+    summed = _local_rows(join_df.sparkSession, pa.record_batch({"poly_id": ids, "n_points": totals[ids]}))
+    summed.join_stats = {**dict(zip(_STATS, sums[n_stats + _STAT_IDS].tolist())), "result_pairs": int(totals.sum())}
+    return summed

@@ -3,6 +3,7 @@ import importlib
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import repro
 
@@ -27,8 +28,8 @@ def test_join_imports_no_pandas():
     """Every fresh executor worker imports the join module, and pandas and
     ``pyarrow.compute`` would be most of that import's time. Nor does a
     kernel's per-chunk work import them: regrouping batches into chunks,
-    packing and unpacking them, reading ``x, y`` and ``pid``, and building
-    the pairs, count and counter batches."""
+    packing and unpacking them, reading ``x, y`` (nulls as NaN) and
+    ``pid``, and building the pairs and count batches."""
     code = """
 import sys
 import numpy as np, pyarrow as pa
@@ -43,6 +44,9 @@ def f64(values):
 assert not imported(), imported()
 x = f64(np.arange(4.0))
 assert join._float64(x.slice(1, 2)).tolist() == [1.0, 2.0]
+valid = pa.py_buffer(np.packbits([1, 0, 1, 1], bitorder="little"))
+nulls = pa.Array.from_buffers(pa.float64(), 4, [valid, x.buffers()[1]], null_count=1)
+assert str(join._float64(nulls.slice(1, 3)).tolist()) == "[nan, 2.0, 3.0]"
 batches = [
     pa.RecordBatch.from_arrays([join._int64([i, i + 1]), f64([i, i]), f64([0.5, 1.5])], ["pid", "x", "y"])
     for i in (0, 2, 4)
@@ -53,15 +57,22 @@ got = list(join._unpacked(iter([pa.Table.from_batches(packed).combine_chunks().t
 assert [c.num_rows for c in got] == [4, 2] and all(g.equals(c) for g, c in zip(got, chunks))
 out = join._emit_pairs(got[0], np.array([3, 0, 3]), np.array([7, 8, 9]), np.array([True, False, True]), None)
 pairs = pa.RecordBatch.from_pydict(out, schema=join._PAIRS)
-out = join._emit_counts(None, None, np.array([3, 1, 3]), None, None)
+stats = dict(zip(join._STATS, range(10, 16)))
+out = join._emit_counts(None, None, np.array([3, 1, 3]), None, stats)
 counts = pa.RecordBatch.from_pydict(out, schema=join._COUNTS)
-stats = dict.fromkeys(join._STATS, 0)
-out = join._emit_counters(None, [], None, None, stats)
-counters = pa.RecordBatch.from_pydict(out, schema=join._COUNTERS)
 assert not imported(), imported()
 assert pairs.column("pid").to_pylist() == [3, 0, 3] and pairs.column("poly_id").to_pylist() == [7, 8, 9]
 assert pairs.column("true_hit").to_pylist() == [True, False, True]
-assert counts.column(0).to_pylist() == [1, 3] and counts.column(1).to_pylist() == [1, 2]
-assert counters.column("result_pairs").to_pylist() == [0]
+assert counts.column(0).to_pylist() == [1, 3, -1, -2, -3, -4, -5, -6]
+assert counts.column(1).to_pylist() == [1, 2, 10, 11, 12, 13, 14, 15]
 """
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_perfbench_imports_resolve():
+    """Every name the benchmark harness imports from ``repro`` exists, so
+    deleting or renaming one fails here rather than in a benchmark run."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "perfbench"), str(root / "src")]
+    code = f"import sys; sys.path[:0] = {paths!r}; import run, bench, layers, check, suite, tracing"
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=root)

@@ -32,7 +32,6 @@ from repro.core.join import (
     count_per_polygon,
     probe_batch,
     spatial_join,
-    spatial_join_stats,
 )
 from repro.geometry.polygon import point_to_polygon_distance
 from repro.geometry.sql_oracle import PIP_COUNT_SQL, PIP_JOIN_SQL
@@ -85,6 +84,11 @@ def pairs(joined):
 def sorted_counts(counts):
     """``count_per_polygon``'s rows as a pandas frame in polygon order."""
     return counts.toPandas().sort_values("poly_id").reset_index(drop=True)
+
+
+def join_stats(spark, points, bundle) -> dict:
+    """The counters of a counted join of ``points``, from its own pass."""
+    return count_per_polygon(spatial_join(spark, points, bundle)).join_stats
 
 
 def _map_in_arrow_inputs(df) -> dict[str, list[str]]:
@@ -301,8 +305,8 @@ class TestApproxJoin:
                 assert d <= precision
 
     def test_no_pip_tests_in_approx_mode(self, spark, points_sdf, approx_bundle):
-        stats = spatial_join_stats(spark, points_sdf, approx_bundle)
-        assert int(stats["pip_tests"].iloc[0]) == 0
+        stats = join_stats(spark, points_sdf, approx_bundle)
+        assert stats["pip_tests"] == 0
 
     def test_finer_precision_fewer_false_positives(self, spark, neigh, points_sdf):
         n = {}
@@ -314,8 +318,8 @@ class TestApproxJoin:
 
 class TestJoinStats:
     def test_stats_consistency(self, spark, points_sdf, exact_bundle):
-        stats = spatial_join_stats(spark, points_sdf, exact_bundle)
-        row = stats.iloc[0]
+        row = join_stats(spark, points_sdf, exact_bundle)
+        assert all(type(v) is int for v in row.values())
         assert row["points"] == N_POINTS
         assert row["pip_tests"] == row["cand_pairs"]
         assert row["sth_points"] <= row["points"]
@@ -324,7 +328,7 @@ class TestJoinStats:
     def test_stats_match_driver_kernel(self, spark, points_pdf, points_sdf, exact_bundle):
         """The Spark per-partition kernel aggregates to the same counters as
         one driver-side batch."""
-        stats = spatial_join_stats(spark, points_sdf, exact_bundle)
+        stats = join_stats(spark, points_sdf, exact_bundle)
         _r, _p, _t, driver = probe_batch(
             exact_bundle,
             points_pdf["x"].to_numpy(),
@@ -332,7 +336,7 @@ class TestJoinStats:
             exact=True,
         )
         for k in ("points", "true_pairs", "cand_pairs", "pip_tests", "sth_points"):
-            assert int(stats[k].iloc[0]) == driver[k], k
+            assert stats[k] == driver[k], k
 
     @pytest.mark.parametrize("bundle_name", ["approx_bundle", "exact_bundle"])
     def test_stats_equal_summed_driver_stats(
@@ -342,7 +346,7 @@ class TestJoinStats:
         partitions equals the driver kernel's over the same points."""
         bundle = request.getfixturevalue(bundle_name)
         sdf = points_sdf.unionByName(invalid_sdf).repartition(5)
-        stats = spatial_join_stats(spark, sdf, bundle)
+        stats = join_stats(spark, sdf, bundle)
         inv = np.array(INVALID_XY + [(np.nan, 10.0)])
         rows, _p, _t, driver = probe_batch(
             bundle,
@@ -352,9 +356,37 @@ class TestJoinStats:
         )
         driver["result_pairs"] = len(rows)
         assert driver["rejected_points"] == len(inv)
-        assert set(stats.columns) == set(driver)
+        assert set(stats) == set(driver)
         for k, v in driver.items():
-            assert int(stats[k].iloc[0]) == v, k
+            assert stats[k] == v, k
+
+    @pytest.mark.parametrize("bundle_name", ["approx_bundle", "exact_bundle"])
+    def test_row_and_packed_paths_equal_driver_stats(
+        self, request, spark, points_pdf, persisted_points, bundle_name
+    ):
+        """The counters of the first count on persisted points, read from
+        rows, and of the second, read from their packed copy, equal the
+        driver kernel's: on the adversarial points with ``INVALID_XY`` and
+        a null ``x``, on 3 points in 16 partitions, and on no points."""
+        bundle = request.getfixturevalue(bundle_name)
+        points, pdf = persisted_points
+        inv = np.array(INVALID_XY + [(np.nan, 10.0)])
+        three = points_pdf.iloc[:3]
+        cases = [
+            (points, np.concatenate([pdf["x"], inv[:, 0]]), np.concatenate([pdf["y"], inv[:, 1]])),
+            (spark.createDataFrame(three).repartition(16).persist(), three["x"].to_numpy(), three["y"].to_numpy()),
+            (spark.createDataFrame([], "pid long, x double, y double").persist(), np.empty(0), np.empty(0)),
+        ]
+        try:
+            for sdf, x, y in cases:
+                rows, _p, _t, driver = probe_batch(bundle, x, y, exact=bundle.mode == "accurate")
+                driver["result_pairs"] = len(rows)
+                for packed in (False, True):
+                    assert join_stats(spark, sdf, bundle) == driver
+                    assert reads_packed(bundle._operators[sdf][join._emit_counts][1]) == packed
+        finally:
+            for sdf, _x, _y in cases[1:]:
+                sdf.unpersist()
 
 
 @pytest.mark.parametrize("name", ["boroughs", "neighborhoods", "census"])
@@ -508,13 +540,13 @@ class TestChunking:
         assert small._jdf is not default._jdf
         assert pairs(small) == default_approx
         assert_counts_pushed_down(spatial_join(spark, sdf, exact_bundle))
-        stats = spatial_join_stats(spark, sdf, exact_bundle)
+        stats = join_stats(spark, sdf, exact_bundle)
         rows, _p, _t, driver = probe_batch(
             exact_bundle, points_pdf["x"].to_numpy(), points_pdf["y"].to_numpy(), exact=True
         )
         driver["result_pairs"] = len(rows)
         for k, v in driver.items():
-            assert int(stats[k].iloc[0]) == v, k
+            assert stats[k] == v, k
 
     @pytest.mark.parametrize("bundle_name", ["approx_bundle", "exact_bundle"])
     def test_empty_partitions_and_input(self, request, spark, points_pdf, bundle_name):
@@ -529,15 +561,15 @@ class TestChunking:
         assert pairs(spatial_join(spark, sparse, bundle)) == set(
             zip(three["pid"].to_numpy()[rows].tolist(), polys.tolist())
         )
-        stats = spatial_join_stats(spark, sparse, bundle)
+        stats = join_stats(spark, sparse, bundle)
         for k, v in driver.items():
-            assert int(stats[k].iloc[0]) == v, k
+            assert stats[k] == v, k
 
         empty = spark.createDataFrame([], "pid long, x double, y double")
         assert spatial_join(spark, empty, bundle).count() == 0
-        stats = spatial_join_stats(spark, empty, bundle)
-        assert len(stats) == 1
-        assert all(int(stats[k].iloc[0]) == 0 for k in driver)
+        stats = join_stats(spark, empty, bundle)
+        assert set(stats) == set(driver)
+        assert all(stats[k] == 0 for k in driver)
 
 
 class TestArrowByteCap:
@@ -564,11 +596,8 @@ class TestArrowByteCap:
         want = {}
         for name, bundle in (("approx", approx_bundle), ("exact", exact_bundle)):
             joined = spatial_join(spark, points_sdf, bundle)
-            want[name] = (
-                pairs(joined),
-                sorted_counts(count_per_polygon(joined)),
-                spatial_join_stats(spark, points_sdf, bundle),
-            )
+            counted = count_per_polygon(joined)
+            want[name] = (pairs(joined), sorted_counts(counted), counted.join_stats)
         arrow_confs.set(join._ARROW_MAX_BYTES, "1k")
         rows = batch_rows(points_sdf)
         assert sum(rows) == N_POINTS and max(rows) < 100
@@ -577,7 +606,7 @@ class TestArrowByteCap:
             want_pairs, want_counts, want_stats = want[name]
             assert pairs(joined) == want_pairs
             pd.testing.assert_frame_equal(assert_counts_pushed_down(joined), want_counts)
-            pd.testing.assert_frame_equal(spatial_join_stats(spark, points_sdf, bundle), want_stats)
+            assert join_stats(spark, points_sdf, bundle) == want_stats
         exact = spatial_join(spark, points_sdf, exact_bundle).select("pid", "poly_id")
         assert_equivalent(exact, PIP_JOIN_SQL, points=points_pdf, edges=neigh.edges_pdf())
         assert arrow_confs.get(join._ARROW_MAX_BYTES) == "1k"
@@ -667,10 +696,12 @@ class TestCountPushdown:
             joined.unpersist()
 
     def test_one_job_of_one_stage(self, spark, approx_bundle):
-        """The count runs when ``count_per_polygon`` is called, as one job
-        of one stage, and collecting its result runs no job."""
+        """The count and its ``join_stats`` come from one job of one stage,
+        run when ``count_per_polygon`` is called; collecting its result and
+        reading the counters run no job."""
         sc = spark.sparkContext
         points = sd.points_df(spark, "taxi", N_POINTS, seed=33)
+        xy = points.toPandas()
         joined = spatial_join(spark, points, approx_bundle)
         want = sorted_counts(count_per_polygon(joined.select("*")))
         try:
@@ -678,6 +709,7 @@ class TestCountPushdown:
             counts = count_per_polygon(joined)
             sc.setJobGroup("pushed-down-collect", "collect")
             got = pd.DataFrame(counts.collect(), columns=["poly_id", "n_points"])
+            stats = counts.join_stats
         finally:
             sc._jsc.clearJobGroup()
         sc._jsc.sc().listenerBus().waitUntilEmpty()
@@ -687,6 +719,8 @@ class TestCountPushdown:
         assert len(list(tracker.getJobInfo(jobs[0]).stageIds)) == 1
         assert tracker.getJobIdsForGroup("pushed-down-collect") == []
         pd.testing.assert_frame_equal(got.sort_values("poly_id").reset_index(drop=True), want)
+        rows, _p, _t, driver = probe_batch(approx_bundle, xy["x"].to_numpy(), xy["y"].to_numpy(), exact=False)
+        assert stats == {**driver, "result_pairs": len(rows)} and len(rows) == want["n_points"].sum()
 
 
 @pytest.fixture
@@ -729,14 +763,15 @@ class TestPreparedOperator:
         first, second = spatial_join(spark, points, approx_bundle), spatial_join(spark, points, approx_bundle)
         assert first is not second and first._jdf is second._jdf
         assert spatial_join(spark, points, exact_bundle)._jdf is not first._jdf
-        stats = spatial_join_stats(spark, points, approx_bundle)
-        counters = approx_bundle._operators[points][join._emit_counters]
-        pd.testing.assert_frame_equal(spatial_join_stats(spark, points, approx_bundle), stats)
-        assert approx_bundle._operators[points][join._emit_counters] is counters
+        stats = join_stats(spark, points, approx_bundle)
+        assert join_stats(spark, points, approx_bundle) == stats
+        # One operator for the pairs and one for the count and its counters.
+        assert set(approx_bundle._operators[points]) == {join._emit_pairs, join._emit_counts}
+        assert approx_bundle._operators[points][join._emit_counts][1] is count
         # Every run probes all points again.
         counts = sorted_counts(count_per_polygon(first))
         pd.testing.assert_frame_equal(sorted_counts(count_per_polygon(second)), counts)
-        assert counts["n_points"].sum() == stats["result_pairs"].iloc[0]
+        assert counts["n_points"].sum() == stats["result_pairs"]
 
     def test_keeps_neither_bundle_nor_points_alive(self, spark, neigh, points_pdf):
         """Once the caller drops them, the bundle's broadcast file goes and
@@ -745,7 +780,6 @@ class TestPreparedOperator:
         points = spark.createDataFrame(points_pdf).persist()
         for _ in range(2):
             count_per_polygon(spatial_join(spark, points, bundle)).collect()
-            spatial_join_stats(spark, points, bundle)
         copies = [points._packed[1]]
         assert join._persisted(copies[0])
         refs = weakref.ref(bundle), weakref.ref(points)
@@ -850,10 +884,10 @@ class TestPreparedOperator:
 
 
 class TestPackedPoints:
-    """From the second count or counter query on persisted points, the
-    kernel reads a persisted packed copy of their ``x, y``; counts and
-    counters equal the row path's and the SQL oracle's, and the pairs are
-    still probed from rows."""
+    """From the second count on persisted points, the kernel reads a
+    persisted packed copy of their ``x, y``; counts and their counters
+    equal the row path's and the SQL oracle's, and the pairs are still
+    probed from rows."""
 
     @pytest.mark.parametrize("bundle_name", ["approx_bundle", "exact_bundle"])
     def test_equals_row_path_and_oracle(self, request, spark, neigh, persisted_points, bundle_name):
@@ -862,8 +896,8 @@ class TestPackedPoints:
 
         def results():
             joined = spatial_join(spark, points, bundle)
-            got = pairs(joined), sorted_counts(count_per_polygon(joined)), spatial_join_stats(spark, points, bundle)
-            return got, joined
+            counted = count_per_polygon(joined)
+            return (pairs(joined), sorted_counts(counted), counted.join_stats), joined
 
         first, joined = results()
         assert not reads_packed(joined) and "_packed" not in points.__dict__
@@ -874,7 +908,7 @@ class TestPackedPoints:
             assert reads_packed(count) and kernel_inputs(count) == ["x", "y"]
             assert again[0] == first[0]
             pd.testing.assert_frame_equal(again[1], first[1])
-            pd.testing.assert_frame_equal(again[2], first[2])
+            assert again[2] == first[2]
         inv = np.array(INVALID_XY + [(np.nan, 10.0)])
         rows, _p, _t, driver = probe_batch(
             bundle,
@@ -883,7 +917,7 @@ class TestPackedPoints:
             exact=bundle.mode == "accurate",
         )
         driver["result_pairs"] = len(rows)
-        assert {k: int(v) for k, v in first[2].iloc[0].items()} == driver
+        assert first[2] == driver
         truth = oracle_pairs(pdf, neigh)
         if bundle.mode == "accurate":
             assert first[0] == truth
@@ -931,7 +965,8 @@ class TestPackedPoints:
         """With a record cap that leaves room for 50 points per packed row,
         each partition's one Arrow batch becomes many packed rows, and the
         kernel reads them all in one batch. A later record cap makes a new
-        copy and unpersists the old one; no positive cap reads rows."""
+        copy and unpersists the old one; no positive cap reads rows, with
+        the same counts and counters."""
         points, _pdf = persisted_points
         per_row = join._PACKED_HEADER_BYTES + 50 * join._PACKED_POINT_BYTES
         arrow_confs.set(join._ARROW_MAX_RECORDS, str(join._PACKED_BATCH_BYTES // per_row))
@@ -950,13 +985,15 @@ class TestPackedPoints:
         assert not join._persisted(copy) and points._packed[0] == join._packed_rows(spark)
         assert reads_packed(join._count_kernel(points, approx_bundle))
         pd.testing.assert_frame_equal(got, want)
-        # The pushed-down count itself fails without a record cap (PySpark's
-        # createDataFrame of an Arrow table), so the counters are compared.
-        stats = spatial_join_stats(spark, points, approx_bundle)
-        arrow_confs.set(join._ARROW_MAX_RECORDS, "0")
-        pd.testing.assert_frame_equal(spatial_join_stats(spark, points, approx_bundle), stats)
-        assert "_packed" not in points.__dict__
-        assert not reads_packed(approx_bundle._operators[points][join._emit_counters][1])
+        stats = join_stats(spark, points, approx_bundle)
+        for records in ("0", "-1"):
+            arrow_confs.set(join._ARROW_MAX_RECORDS, records)
+            counted = count_per_polygon(spatial_join(spark, points, approx_bundle))
+            assert_local_rows(counted)
+            pd.testing.assert_frame_equal(sorted_counts(counted), want)
+            assert counted.join_stats == stats
+            assert "_packed" not in points.__dict__
+            assert not reads_packed(join._count_kernel(points, approx_bundle))
 
 
 class _FakeBroadcast:
@@ -1004,7 +1041,7 @@ class TestBroadcastOnce:
         spatial_join(spark, points_sdf, b).count()
         first = _broadcast_id(sc, b)
         spatial_join(spark, points_sdf, b).count()
-        spatial_join_stats(spark, points_sdf, b)
+        join_stats(spark, points_sdf, b)
         count_per_polygon(spatial_join(spark, points_sdf, b)).collect()
         assert _broadcast_id(sc, b) == first
         # The cached broadcast is not part of the bundle's pickled state.
